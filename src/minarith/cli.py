@@ -12,16 +12,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from .atrans import TranslationInput, a_translate_classified, refined_a_translate
+from .atrans import (TranslationInput, _premise_shape, a_translate_classified,
+                     refined_a_translate)
 from .classes import classify, format_report
 from .derived import prove_efq, prove_gg_equiv
 from .errors import (CertificateError, ClassError, EigenvariableError,
                      EmptyGoalError, KernelError, LanguageError, ParseError,
                      ShapeError, TheoryError)
-from .formula import All, Bot, Imp, TheoryId, theory_leq
+from .formula import TheoryId, theory_leq
 from .kernel import inspect
 from .search import Derivable, Unknown, bounded_derivable
-from .sexpr import (parse_formula, parse_proof, print_formula, print_proof)
+from .sexpr import (_print_assumption, parse_formula, parse_proof,
+                    print_formula, print_proof)
 from .syntax import NameSupply
 
 _REASONS = {
@@ -33,6 +35,8 @@ _REASONS = {
     CertificateError: "certificate-error",
     EmptyGoalError: "empty-goal-error",
     TypeError: "type-error",
+    RecursionError: "depth-error",
+    MemoryError: "memory-error",
 }
 
 
@@ -41,10 +45,6 @@ def _reason(exc: Exception) -> str:
         if isinstance(exc, cls):
             return code
     return "kernel-error"
-
-
-def _theory(name: str) -> TheoryId:
-    return TheoryId(name)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,14 +56,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_check(args) -> str:
     proof = parse_proof(Path(args.path).read_text(encoding="utf-8"),
-                        _theory(args.theory))
-    if not theory_leq(proof.min_theory, _theory(args.theory)):
+                        TheoryId(args.theory))
+    if not theory_leq(proof.min_theory, TheoryId(args.theory)):
         raise TheoryError(
             f"proof needs {proof.min_theory.value}, requested {args.theory}")
     j = inspect(proof)
-    lines = [f"(assume {u.name} {u.index} {print_formula(f)})"
-             for u, f in sorted(j.assumptions,
-                                key=lambda p: (p[0].name, p[0].index))]
+    lines = [_print_assumption(u) for u, _ in
+             sorted(j.assumptions, key=lambda p: (p[0].name, p[0].index))]
     lines.append(f"{args.theory} ⊢ {print_formula(j.conclusion)}")
     return "\n".join(lines)
 
@@ -76,12 +75,7 @@ def _cmd_classify(args) -> str:
 def _cmd_translate(args) -> str:
     text = Path(args.premise).read_text(encoding="utf-8")
     premise = parse_proof(text, TheoryId.MA)
-    match premise.conclusion:
-        case Imp(d, Imp(All(x, Imp(g, Bot())), Bot())):
-            pass
-        case _:
-            raise ShapeError(
-                "premise conclusion must be D -> (forall x (G -> bot)) -> bot")
+    d, g, x = _premise_shape(premise)
     supply = NameSupply()
     if args.mode == "classified":
         result = a_translate_classified(d, g, x, premise, supply)
@@ -109,12 +103,12 @@ def _cmd_gg(args) -> str:
 
 def _cmd_efq(args) -> str:
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
-    return print_proof(prove_efq(a, _theory(args.theory)))
+    return print_proof(prove_efq(a, TheoryId(args.theory)))
 
 
 def _cmd_search(args) -> str:
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
-    verdict = bounded_derivable(a, _theory(args.theory), args.depth)
+    verdict = bounded_derivable(a, TheoryId(args.theory), args.depth)
     match verdict:
         case Derivable(witness):
             return f"derivable\n{print_proof(witness)}"
@@ -182,8 +176,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io-error: {e}", file=sys.stderr)
         return 2
-    except (KernelError, TypeError) as e:
-        print(f"{_reason(e)}: {e}")
+    except (KernelError, TypeError, RecursionError, MemoryError) as e:
+        print(f"{_reason(e)}: {str(e) or type(e).__name__}")
         return 1
     _emit(output, args.out)
     return 0

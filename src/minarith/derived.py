@@ -8,33 +8,23 @@ quantifier-free-style class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields
 
 from .errors import ClassError, LanguageError
 from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
                       TheoryId, formula_free_vars, imp, in_language,
                       min_language, neg, subst_bot, subst_formula_var,
                       theory_leq)
-from .kernel import (AssumptionVar, BoolCases, BotPlus, ExElim, ExIntro,
-                     IndList, IndNat, Lem, OrElim, OrIntroL, OrIntroR, Proof,
-                     Truth, all_elim, all_intro, and_intro, assume, axiom,
-                     fresh_assumption, imp_elim, imp_elims, imp_intro,
-                     imp_intros, proj)
+from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
+                     Proof, Truth, all_elim, all_intro, and_intro, assume,
+                     axiom, build, fresh_assumption, imp_elim, imp_elims,
+                     imp_intro, imp_intros, map_proof, proj)
 from .syntax import (BOOL, Const, NameSupply, ObjVar, Term, Var,
                      free_term_vars, subst_term)
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    proof: Proof
-    target: Formula
-
-
 def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
-    v = ObjVar("b", supply.draw(), BOOL)
-    while v in avoid:
-        v = ObjVar("b", supply.draw(), BOOL)
-    return v
+    return supply.fresh_avoiding(ObjVar("b", 0, BOOL), avoid)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +78,7 @@ def _efq(a: Formula, th: TheoryId, supply: NameSupply) -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# Variable substitution through proofs
+# Substitution through proofs
 
 
 def subst_objvar_proof(m: Proof, x: ObjVar, t: Term,
@@ -101,117 +91,7 @@ def subst_objvar_proof(m: Proof, x: ObjVar, t: Term,
     """
     if t.ty != x.ty:
         raise TypeError(f"cannot substitute term of type {t.ty} for {x}")
-    if supply is None:
-        supply = NameSupply()
-    fv_t = free_term_vars(t)
-
-    def sub_f(f: Formula) -> Formula:
-        return subst_formula_var(f, x, t, supply)
-
-    def fresh_like(v: ObjVar, extra=frozenset()) -> ObjVar:
-        avoid = fv_t | {x} | extra
-        candidate = supply.fresh(v)
-        while candidate in avoid:
-            candidate = supply.fresh(v)
-        return candidate
-
-    def go(m: Proof) -> Proof:
-        match m.rule:
-            case "assume":
-                u = m.params[0]
-                return assume(AssumptionVar(u.name, u.index, sub_f(u.formula)))
-            case "axiom":
-                return _subst_axiom(m)
-            case "and_intro":
-                return and_intro(go(m.children[0]), go(m.children[1]))
-            case "proj":
-                return proj(m.params[0], go(m.children[0]))
-            case "imp_elim":
-                return imp_elim(go(m.children[0]), go(m.children[1]))
-            case "imp_intro":
-                u = m.params[0]
-                u2 = AssumptionVar(u.name, u.index, sub_f(u.formula))
-                return imp_intro(u2, go(m.children[0]))
-            case "all_elim":
-                return all_elim(go(m.children[0]),
-                                subst_term(m.params[0], x, t, supply), supply)
-            case "all_intro":
-                y = m.params[0]
-                if y == x:
-                    return m
-                child = m.children[0]
-                if y in fv_t:
-                    extra = formula_free_vars(m.conclusion)
-                    for u in child.free_assumptions:
-                        extra |= formula_free_vars(u.formula)
-                    renamed = fresh_like(y, extra)
-                    child = subst_objvar_proof(child, y, Var(renamed), supply)
-                    return all_intro(renamed, go(child))
-                return all_intro(y, go(child))
-        raise ValueError(f"unexpected rule {m.rule!r}")
-
-    def _subst_axiom(m: Proof) -> Proof:
-        ax = m.params[0]
-        th = m.min_theory
-        match ax:
-            case Truth() | BotPlus():
-                return m
-            case BoolCases(b, body) | IndNat(b, body):
-                cls = type(ax)
-                if b == x:
-                    return m
-                if b in fv_t:
-                    renamed = fresh_like(b, formula_free_vars(body))
-                    body = subst_formula_var(body, b, Var(renamed), supply)
-                    b = renamed
-                return axiom(cls(b, sub_f(body)), th, supply)
-            case IndList(l, e, body):
-                if e == x or e in fv_t:
-                    # The cons-head variable occurs both bound and free in the
-                    # scheme; it cannot be renamed or substituted coherently.
-                    raise LanguageError(
-                        "cannot substitute through a list induction axiom "
-                        "whose element variable collides with the substitution")
-                if l == x:
-                    return m
-                if l in fv_t:
-                    renamed = fresh_like(l, formula_free_vars(body) | {e})
-                    body = subst_formula_var(body, l, Var(renamed), supply)
-                    l = renamed
-                return axiom(IndList(l, e, sub_f(body)), th, supply)
-            case OrIntroL(a, b):
-                return axiom(OrIntroL(sub_f(a), sub_f(b)), th, supply)
-            case OrIntroR(a, b):
-                return axiom(OrIntroR(sub_f(a), sub_f(b)), th, supply)
-            case OrElim(a, b, c):
-                return axiom(OrElim(sub_f(a), sub_f(b), sub_f(c)), th, supply)
-            case Lem(a):
-                return axiom(Lem(sub_f(a)), th, supply)
-            case ExIntro(a, v, w):
-                if v == x:
-                    return axiom(ExIntro(a, v, subst_term(w, x, t, supply)),
-                                 th, supply)
-                if v in fv_t:
-                    renamed = fresh_like(v, formula_free_vars(a))
-                    a = subst_formula_var(a, v, Var(renamed), supply)
-                    v = renamed
-                return axiom(ExIntro(sub_f(a), v,
-                                     subst_term(w, x, t, supply)), th, supply)
-            case ExElim(a, v, c):
-                if v == x:
-                    return m
-                if v in fv_t:
-                    renamed = fresh_like(v, formula_free_vars(a))
-                    a = subst_formula_var(a, v, Var(renamed), supply)
-                    v = renamed
-                return axiom(ExElim(sub_f(a), v, sub_f(c)), th, supply)
-        raise ValueError(f"unexpected axiom {ax!r}")
-
-    return go(m)
-
-
-# ---------------------------------------------------------------------------
-# Bottom substitution through proofs
+    return _subst_proof(m, ((x, t),), None, None, supply)
 
 
 def subst_bot_proof(m: Proof, s: Formula,
@@ -223,87 +103,123 @@ def subst_bot_proof(m: Proof, s: Formula,
     """
     if not theory_leq(m.min_theory, TheoryId.MA):
         raise LanguageError("bottom substitution applies to NA/MA proofs only")
-    if supply is None:
-        supply = NameSupply()
     s_lang = min_language(s)  # rejects mixed-language substituents
     th_out = s_lang if s_lang != TheoryId.PA else TheoryId.HA
-    fv_s = formula_free_vars(s)
-    amap: dict[AssumptionVar, AssumptionVar] = {}
+    return _subst_proof(m, (), s, th_out, supply)
 
-    def sub(f: Formula) -> Formula:
-        return subst_bot(f, s, supply)
 
-    def mapped(u: AssumptionVar) -> AssumptionVar:
-        if u not in amap:
-            amap[u] = fresh_assumption(u.name, sub(u.formula), supply)
-        return amap[u]
+def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
+                 supply: NameSupply | None) -> Proof:
+    """The walk shared by both proof substitutions, over (node, sigma) pairs.
 
-    def go(m: Proof) -> Proof:
+    sigma is the variable substitution in force at the node, as (y, r) pairs
+    applied in order.  A binder over y (an ``all_intro`` eigenvariable or an
+    axiom's ``ObjVar`` field) drops y from sigma, and renames y first if sigma
+    or ``s`` would insert a free y.  Then ``s``, if given, replaces bottom.
+    Rebuilt axioms live in ``th``, or in their own theory if it is None.
+    """
+    if supply is None:
+        supply = NameSupply()
+    fv_s = frozenset() if s is None else formula_free_vars(s)
+    # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
+    # id, and images of assumption variables by their image formula and,
+    # to compute that once per object, by (id, sigma).
+    pairs, binders, amap, images = {}, {}, {}, {}
+
+    def node_at(m: Proof, inner):
+        # A node under the outer sigma is the proof itself, any other one a
+        # (proof, sigma) pair, interned so that the walk's identity memo
+        # sees one node per pair.
+        if inner == sigma:
+            return m
+        return pairs.setdefault((m, inner), (m, inner))
+
+    def split(n):
+        return n if isinstance(n, tuple) else (n, sigma)
+
+    def enter(y: ObjVar, sigma, formulas):
+        """Eigenvariable and substitution below a binder over ``y``."""
+        sigma = tuple(p for p in sigma if p[0] != y)
+        inserted = fv_s.union(*(free_term_vars(r) for _, r in sigma))
+        if y not in inserted:
+            return y, sigma
+        avoid = inserted.union({y}, (v for v, _ in sigma),
+                               *map(formula_free_vars, formulas))
+        renamed = supply.fresh_avoiding(y, avoid)
+        return renamed, ((y, Var(renamed)),) + sigma
+
+    def term(t: Term, sigma) -> Term:
+        for y, r in sigma:
+            t = subst_term(t, y, r, supply)
+        return t
+
+    def formula(f: Formula, sigma) -> Formula:
+        for y, r in sigma:
+            f = subst_formula_var(f, y, r, supply)
+        return f if s is None else subst_bot(f, s, supply)
+
+    def assumption(u: AssumptionVar, sigma) -> AssumptionVar:
+        # Keyed on the image formula: a binder renaming its eigenvariable
+        # changes sigma but not the image of an assumption used across it,
+        # since the eigenvariable is not free there.  So the assume and the
+        # imp_intro of one assumption get one image.
+        image = images.get((id(u), sigma))
+        if image is None:
+            f = formula(u.formula, sigma)
+            image = amap.get((u, f))
+            if image is None:
+                image = amap[u, f] = (
+                    AssumptionVar(u.name, u.index, f) if s is None
+                    else fresh_assumption(u.name, f, supply))
+            images[id(u), sigma] = image
+        return image
+
+    def subst_axiom(m: Proof, sigma) -> Proof:
+        ax = m.params[0]
+        if s is not None and isinstance(ax, BotPlus):
+            return prove_efq(s, th, supply)
+        # ObjVar fields bind every Formula field; Term fields lie outside.
+        values = [getattr(ax, f.name) for f in fields(ax)]
+        bodies = [v for v in values if isinstance(v, Formula)]
+        inner, renamed = sigma, {}
+        for v in values:
+            if isinstance(v, ObjVar):
+                renamed[v], inner = enter(v, inner, bodies)
+        new = [renamed[v] if isinstance(v, ObjVar)
+               else formula(v, inner) if isinstance(v, Formula)
+               else term(v, sigma) for v in values]
+        return axiom(type(ax)(*new), th or m.min_theory, supply)
+
+    def children(n):
+        m, inner = split(n)
+        if s is None and not inner:
+            return ()
+        if m.rule == "all_intro":
+            child = m.children[0]
+            fvs = [m.conclusion, *(u.formula for u in child.free_assumptions)]
+            binders[id(n)], inner = enter(m.params[0], inner, fvs)
+            return (node_at(child, inner),)
+        return (m.children if inner == sigma
+                else [node_at(c, inner) for c in m.children])
+
+    def visit(n, kids) -> Proof:
+        m, inner = split(n)
+        if s is None and not inner:
+            return m
         match m.rule:
             case "assume":
-                return assume(mapped(m.params[0]))
+                return assume(assumption(m.params[0], inner))
             case "axiom":
-                return _subst_axiom(m)
-            case "and_intro":
-                return and_intro(go(m.children[0]), go(m.children[1]))
-            case "proj":
-                return proj(m.params[0], go(m.children[0]))
-            case "imp_elim":
-                return imp_elim(go(m.children[0]), go(m.children[1]))
+                return subst_axiom(m, inner)
             case "imp_intro":
-                u = m.params[0]
-                shadowed = amap.pop(u, None)
-                child = go(m.children[0])
-                u2 = amap.pop(u, None) or fresh_assumption(
-                    u.name, sub(u.formula), supply)
-                if shadowed is not None:
-                    amap[u] = shadowed
-                return imp_intro(u2, child)
+                return imp_intro(assumption(m.params[0], inner), kids[0])
             case "all_elim":
-                return all_elim(go(m.children[0]), m.params[0], supply)
+                return all_elim(kids[0], term(m.params[0], inner), supply)
             case "all_intro":
-                y = m.params[0]
-                child = m.children[0]
-                if y in fv_s:
-                    avoid = fv_s | formula_free_vars(m.conclusion)
-                    for u in child.free_assumptions:
-                        avoid |= formula_free_vars(u.formula)
-                    renamed = supply.fresh_avoiding(y, avoid)
-                    child = subst_objvar_proof(child, y, Var(renamed), supply)
-                    return all_intro(renamed, go(child))
-                return all_intro(y, go(child))
-        raise ValueError(f"unexpected rule {m.rule!r}")
+                return all_intro(binders[id(n)], kids[0])
+        return build(m.rule, kids, m.params)
 
-    def _subst_axiom(m: Proof) -> Proof:
-        ax = m.params[0]
-        match ax:
-            case BotPlus():
-                return prove_efq(s, th_out, supply)
-            case Truth():
-                return axiom(Truth(), th_out)
-            case BoolCases(b, body) | IndNat(b, body):
-                cls = type(ax)
-                if b in fv_s:
-                    avoid = fv_s | formula_free_vars(body)
-                    renamed = supply.fresh_avoiding(b, avoid)
-                    body = subst_formula_var(body, b, Var(renamed), supply)
-                    b = renamed
-                return axiom(cls(b, sub(body)), th_out, supply)
-            case IndList(l, e, body):
-                if e in fv_s:
-                    raise LanguageError(
-                        "cannot substitute bottom through a list induction "
-                        "axiom whose element variable is free in the substituent")
-                if l in fv_s:
-                    avoid = fv_s | formula_free_vars(body) | {e}
-                    renamed = supply.fresh_avoiding(l, avoid)
-                    body = subst_formula_var(body, l, Var(renamed), supply)
-                    l = renamed
-                return axiom(IndList(l, e, sub(body)), th_out, supply)
-        raise LanguageError(
-            f"axiom {type(ax).__name__} cannot occur in an NA/MA proof")
-
-    return go(m)
+    return map_proof(m, visit, children)
 
 
 # ---------------------------------------------------------------------------

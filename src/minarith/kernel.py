@@ -9,6 +9,7 @@ re-verifies proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
@@ -148,6 +149,9 @@ def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
                 raise TypeError("list induction needs a variable of list type")
             if x.ty != l.ty.elem:
                 raise TypeError("element variable type must match the list type")
+            if x in formula_free_vars(a):
+                raise EigenvariableError(
+                    "list induction element variable is free in the body")
             elem = l.ty.elem
             a_nil = subst_formula_var(a, l, Const("nil", (elem,)), supply)
             a_cons = subst_formula_var(
@@ -356,15 +360,39 @@ def build(rule: str, premises, params=(),
     raise ShapeError(f"unknown rule {rule!r}")
 
 
+def map_proof(root, visit, children=attrgetter("children")):
+    """Post-order map over a proof DAG, with an explicit stack.
+
+    ``visit(node, images)`` returns a node's image from its children's.  Each
+    distinct node is visited once, memoized on identity: proofs are immutable.
+    ``children`` lets the walk run over other acyclic nodes, such as parsed
+    proof forms, as long as they stay alive until the walk ends.
+    """
+    images = {}
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            images[id(node)] = visit(
+                node, [images[id(k)] for k in kids] if kids else kids)
+        elif id(node) not in images:
+            kids = children(node)
+            stack.append((node, kids))
+            for k in reversed(kids):
+                if id(k) not in images:
+                    stack.append((k, None))
+    return images[id(root)]
+
+
 def recheck(m: Proof) -> Proof:
     """Rebuild a proof bottom-up through the constructors.
 
     Used to confirm that the cached judgement of a stored or deserialized
-    proof really is derivable.
+    proof really is derivable.  Shared subproofs are rebuilt once.
     """
-    children = tuple(recheck(c) for c in m.children)
-    if m.rule == "axiom":
-        rebuilt = axiom(m.params[0], m.min_theory)
-    else:
-        rebuilt = build(m.rule, children, m.params)
-    return rebuilt
+    def rebuild(m: Proof, children) -> Proof:
+        if m.rule == "axiom":
+            return axiom(m.params[0], m.min_theory)
+        return build(m.rule, children, m.params)
+
+    return map_proof(m, rebuild)

@@ -7,13 +7,15 @@ already been checked.
 
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+
 from .errors import ParseError
 from .formula import (BOT, All, And, Atom, Bot, Ex, Formula, Imp, Or,
                       TheoryId)
 from .kernel import (AssumptionVar, AxiomId, BoolCases, BotPlus, ExElim,
                      ExIntro, IndList, IndNat, Lem, OrElim, OrIntroL,
-                     OrIntroR, Proof, Truth, all_elim, all_intro, and_intro,
-                     assume, axiom, imp_elim, imp_intro, proj)
+                     OrIntroR, Proof, Truth, assume, axiom, build, map_proof)
 from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
                      NatType, ObjType, ObjVar, Prod, Term, TypeVar, Var,
                      _CONST_SPECS)
@@ -24,25 +26,8 @@ from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
 
 
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+    # Parentheses and maximal symbols; a comment runs from ';' to the line end.
+    return re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text))
 
 
 def read_sexpr(text: str):
@@ -50,28 +35,22 @@ def read_sexpr(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    form, rest = _read(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("trailing input after the toplevel form")
-    return form
-
-
-def _read(tokens: list[str], i: int):
-    if i >= len(tokens):
-        raise ParseError("unexpected end of input")
-    tok = tokens[i]
-    if tok == "(":
-        items = []
-        i += 1
-        while i < len(tokens) and tokens[i] != ")":
-            item, i = _read(tokens, i)
-            items.append(item)
-        if i >= len(tokens):
-            raise ParseError("unbalanced parenthesis")
-        return items, i + 1
-    if tok == ")":
-        raise ParseError("unexpected closing parenthesis")
-    return tok, i + 1
+    stack: list[list] = []  # lists still open, innermost last
+    for i, tok in enumerate(tokens, 1):
+        if tok == "(":
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unexpected closing parenthesis")
+            tok = stack.pop()
+        if stack:
+            stack[-1].append(tok)
+        elif i < len(tokens):
+            raise ParseError("trailing input after the toplevel form")
+        else:
+            return tok
+    raise ParseError("unbalanced parenthesis")
 
 
 def _expect_list(form, what: str) -> list:
@@ -261,62 +240,28 @@ _AXIOM_TAGS = {
 }
 
 
+_AXIOM_CLASSES = {tag: cls for cls, tag in _AXIOM_TAGS.items()}
+# Axiom arguments are the dataclass fields in order, handled by declared type.
+_FIELD_READERS = {"ObjVar": var_from_tree, "Formula": formula_from_tree,
+                  "Term": term_from_tree}
+_FIELD_PRINTERS = {"ObjVar": print_var, "Formula": print_formula,
+                   "Term": print_term}
+
+
 def axiom_from_tree(form) -> AxiomId:
     form = _expect_list(form, "axiom")
     match form:
-        case ["axiom", "truth"]:
-            return Truth()
-        case ["axiom", "botplus"]:
-            return BotPlus()
-        case ["axiom", "boolcases", v, a]:
-            return BoolCases(var_from_tree(v), formula_from_tree(a))
-        case ["axiom", "indnat", v, a]:
-            return IndNat(var_from_tree(v), formula_from_tree(a))
-        case ["axiom", "indlist", l, x, a]:
-            return IndList(var_from_tree(l), var_from_tree(x),
-                           formula_from_tree(a))
-        case ["axiom", "or-intro-l", a, b]:
-            return OrIntroL(formula_from_tree(a), formula_from_tree(b))
-        case ["axiom", "or-intro-r", a, b]:
-            return OrIntroR(formula_from_tree(a), formula_from_tree(b))
-        case ["axiom", "or-elim", a, b, c]:
-            return OrElim(formula_from_tree(a), formula_from_tree(b),
-                          formula_from_tree(c))
-        case ["axiom", "ex-intro", a, v, t]:
-            return ExIntro(formula_from_tree(a), var_from_tree(v),
-                           term_from_tree(t))
-        case ["axiom", "ex-elim", a, v, c]:
-            return ExElim(formula_from_tree(a), var_from_tree(v),
-                          formula_from_tree(c))
-        case ["axiom", "lem", a]:
-            return Lem(formula_from_tree(a))
+        case ["axiom", str(tag), *args] if tag in _AXIOM_CLASSES:
+            cls = _AXIOM_CLASSES[tag]
+            kinds = [f.type for f in fields(cls)]
+            if len(args) == len(kinds):
+                return cls(*(_FIELD_READERS[k](a) for k, a in zip(kinds, args)))
     raise ParseError(f"unrecognized axiom form {form!r}")
 
 
 def print_axiom(ax: AxiomId) -> str:
-    tag = _AXIOM_TAGS[type(ax)]
-    match ax:
-        case Truth() | BotPlus():
-            return f"(axiom {tag})"
-        case BoolCases(v, a) | IndNat(v, a):
-            return f"(axiom {tag} {print_var(v)} {print_formula(a)})"
-        case IndList(l, x, a):
-            return (f"(axiom {tag} {print_var(l)} {print_var(x)} "
-                    f"{print_formula(a)})")
-        case OrIntroL(a, b) | OrIntroR(a, b):
-            return f"(axiom {tag} {print_formula(a)} {print_formula(b)})"
-        case OrElim(a, b, c):
-            return (f"(axiom {tag} {print_formula(a)} {print_formula(b)} "
-                    f"{print_formula(c)})")
-        case ExIntro(a, v, t):
-            return (f"(axiom {tag} {print_formula(a)} {print_var(v)} "
-                    f"{print_term(t)})")
-        case ExElim(a, v, c):
-            return (f"(axiom {tag} {print_formula(a)} {print_var(v)} "
-                    f"{print_formula(c)})")
-        case Lem(a):
-            return f"(axiom {tag} {print_formula(a)})"
-    raise ValueError(f"unexpected axiom {ax!r}")
+    args = [_FIELD_PRINTERS[f.type](getattr(ax, f.name)) for f in fields(ax)]
+    return " ".join(["(axiom", _AXIOM_TAGS[type(ax)], *args]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +277,57 @@ def _assumption_from_tree(form) -> AssumptionVar:
     raise ParseError(f"unrecognized assumption form {form!r}")
 
 
+# Inner proof forms by head symbol.  A form is the head, arguments read by
+# ``before``, ``n`` subproofs, then arguments read by ``after``; it builds
+# ``rule`` with parameters ``fixed`` and then the read arguments.  Arguments
+# before the subproofs are read on the way down and the rest on the way up,
+# so errors are reported in textual order.
+_PROOF_FORMS = {  # tag: (rule, fixed, before, n, after)
+    "pair-pf": ("and_intro", (), (), 2, ()),
+    "proj0": ("proj", (0,), (), 1, ()),
+    "proj1": ("proj", (1,), (), 1, ()),
+    "app-pf": ("imp_elim", (), (), 2, ()),
+    "lam-pf": ("imp_intro", (), (_assumption_from_tree,), 1, ()),
+    "inst": ("all_elim", (), (), 1, (term_from_tree,)),
+    "gen": ("all_intro", (), (var_from_tree,), 1, ()),
+}
+_NO_FORM = (None, (), (), -1, ())  # matches no form length
+
+
 def proof_from_tree(form, th: TheoryId,
                     supply: NameSupply | None = None) -> Proof:
     """Build the proof through the kernel; kernel errors propagate."""
     if supply is None:
         supply = NameSupply()
+    early = {}  # arguments read on the way down, by id of their form
 
-    def go(form) -> Proof:
+    def children(form) -> list:
         form = _expect_list(form, "proof")
-        match form:
-            case ["assume", *_]:
-                return assume(_assumption_from_tree(form))
-            case ["axiom", *_]:
-                return axiom(axiom_from_tree(form), th, supply)
-            case ["pair-pf", m, n]:
-                return and_intro(go(m), go(n))
-            case ["proj0", m]:
-                return proj(0, go(m))
-            case ["proj1", m]:
-                return proj(1, go(m))
-            case ["app-pf", m, n]:
-                return imp_elim(go(m), go(n))
-            case ["lam-pf", u, m]:
-                return imp_intro(_assumption_from_tree(u), go(m))
-            case ["inst", m, t]:
-                return all_elim(go(m), term_from_tree(t), supply)
-            case ["gen", v, m]:
-                return all_intro(var_from_tree(v), go(m))
-        raise ParseError(f"unrecognized proof form {form!r}")
+        tag = form[0]
+        if tag in ("assume", "axiom"):
+            return []
+        _, _, before, n, after = _PROOF_FORMS.get(
+            tag if isinstance(tag, str) else None, _NO_FORM)
+        if len(form) != 1 + len(before) + n + len(after):
+            raise ParseError(f"unrecognized proof form {form!r}")
+        if before:
+            early[id(form)] = tuple(r(a) for r, a in zip(before, form[1:]))
+        return form[1 + len(before):1 + len(before) + n]
 
-    return go(form)
+    def construct(form, kids) -> Proof:
+        match form[0]:
+            case "assume":
+                return assume(_assumption_from_tree(form))
+            case "axiom":
+                return axiom(axiom_from_tree(form), th, supply)
+        rule, params, before, _, after = _PROOF_FORMS[form[0]]
+        if before:
+            params += early.pop(id(form))
+        if after:
+            params += tuple(r(a) for r, a in zip(after, form[-len(after):]))
+        return build(rule, kids, params, supply)
+
+    return map_proof(form, construct, children)
 
 
 def parse_proof(text: str, th: TheoryId,
@@ -369,29 +335,45 @@ def parse_proof(text: str, th: TheoryId,
     return proof_from_tree(read_sexpr(text), th, supply)
 
 
+def _print_assumption(u: AssumptionVar) -> str:
+    return f"(assume {u.name} {u.index} {print_formula(u.formula)})"
+
+
 def print_proof(m: Proof) -> str:
-    match m.rule:
-        case "assume":
-            u = m.params[0]
-            return f"(assume {u.name} {u.index} {print_formula(u.formula)})"
-        case "axiom":
-            return print_axiom(m.params[0])
-        case "and_intro":
-            return (f"(pair-pf {print_proof(m.children[0])} "
-                    f"{print_proof(m.children[1])})")
-        case "proj":
-            return f"(proj{m.params[0]} {print_proof(m.children[0])})"
-        case "imp_elim":
-            return (f"(app-pf {print_proof(m.children[0])} "
-                    f"{print_proof(m.children[1])})")
-        case "imp_intro":
-            u = m.params[0]
-            head = f"(assume {u.name} {u.index} {print_formula(u.formula)})"
-            return f"(lam-pf {head} {print_proof(m.children[0])})"
-        case "all_elim":
-            return (f"(inst {print_proof(m.children[0])} "
-                    f"{print_term(m.params[0])})")
-        case "all_intro":
-            return (f"(gen {print_var(m.params[0])} "
-                    f"{print_proof(m.children[0])})")
-    raise ValueError(f"unexpected rule {m.rule!r}")
+    """Print a proof as a tree; a shared node's own text is built once.
+
+    The image of a node is its text, or a tuple of its own text and the
+    images of its children; nodes do not keep their whole text, because
+    shared subproofs would repeat it.
+    """
+    def parts(m: Proof, kids) -> str | tuple:
+        match m.rule:
+            case "assume":
+                return _print_assumption(m.params[0])
+            case "axiom":
+                return print_axiom(m.params[0])
+            case "and_intro":
+                return ("(pair-pf ", kids[0], " ", kids[1], ")")
+            case "proj":
+                return (f"(proj{m.params[0]} ", kids[0], ")")
+            case "imp_elim":
+                return ("(app-pf ", kids[0], " ", kids[1], ")")
+            case "imp_intro":
+                return (f"(lam-pf {_print_assumption(m.params[0])} ", kids[0],
+                        ")")
+            case "all_elim":
+                return ("(inst ", kids[0], f" {print_term(m.params[0])})")
+            case "all_intro":
+                return (f"(gen {print_var(m.params[0])} ", kids[0], ")")
+        raise ValueError(f"unexpected rule {m.rule!r}")
+
+    # Expand the shared parts into the tree, again with an explicit stack.
+    out: list[str] = []
+    stack = [map_proof(m, parts)]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            stack += reversed(part)
+    return "".join(out)

@@ -62,6 +62,24 @@ class TestCheck:
         assert code == 2
         assert "parse-error" in err
 
+    # A malformed argument and a kernel error inside a subproof: the one
+    # that comes first in the text is reported.
+    @pytest.mark.parametrize("text, code, reason", [
+        ("(lam-pf (oops) (app-pf (axiom truth) (axiom truth)))", 2,
+         "parse-error"),
+        ("(gen (oops) (app-pf (axiom truth) (axiom truth)))", 2,
+         "parse-error"),
+        ("(inst (app-pf (axiom truth) (axiom truth)) (oops))", 1,
+         "shape-error"),
+    ])
+    def test_errors_reported_in_textual_order(self, text, code, reason,
+                                              tmp_path, capsys):
+        src = tmp_path / "p.prf"
+        src.write_text(text, encoding="utf-8")
+        got, out, err = run(capsys, "check", str(src), "--theory", "NA")
+        assert got == code
+        assert (out + err).startswith(reason)
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", str(tmp_path / "no.prf"),
                            "--theory", "NA")
@@ -212,3 +230,16 @@ class TestSearch:
                            "--depth", "5")
         assert code == 0
         assert out.strip() == "unknown 5"
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["efq", "--theory", "NA"],
+                                  ["gg"]])
+def test_deep_input_exits_with_depth_error(argv, tmp_path, capsys):
+    src = tmp_path / "deep.frm"
+    src.write_text("(imp (atom (tt)) " * 1500 + "(atom (tt))" + ")" * 1500,
+                   encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert code == 1
+    assert out.startswith("depth-error: ")
+    assert len(out.splitlines()) == 1
+    assert err == ""

@@ -4,12 +4,14 @@ equivalence, and case distinction."""
 import pytest
 
 from minarith import (BOT, FALSITY, TRUTH, All, And, Atom, BotPlus, Const,
-                      GenConfig, Imp, NameSupply, ObjVar, TheoryId, TT, Var,
-                      alpha_eq_formula, assume, axiom, fresh_assumption,
-                      gen_formula, gen_proof, gg_translate, imp, imp_intro,
-                      in_Q, min_language, neg, prove_case_distinction,
-                      prove_efq, prove_gg_equiv, recheck, subst_bot,
-                      subst_bot_proof, subst_objvar_proof, theory_leq)
+                      GenConfig, Imp, IndList, ListType, NameSupply, ObjVar,
+                      TheoryId, TT, Var, all_intro, alpha_eq_formula,
+                      and_intro, app, arrow, assume, axiom, formula_free_vars,
+                      fresh_assumption, gen_formula, gen_proof, gg_translate,
+                      imp, imp_intro, in_Q, min_language, neg,
+                      prove_case_distinction, prove_efq, prove_gg_equiv,
+                      recheck, subst_bot, subst_bot_proof, subst_formula_var,
+                      subst_objvar_proof, theory_leq)
 from minarith.errors import ClassError, LanguageError
 from minarith.syntax import BOOL, NAT
 
@@ -66,6 +68,45 @@ class TestSubstObjvarProof:
         assert q.conclusion == Imp(Atom(TT), Atom(TT))
         recheck(q)
 
+    def test_indlist_element_variable_renamed(self):
+        # y := x, where x is the axiom's element variable: x is renamed.
+        p = ObjVar("p", 0, arrow(NAT, ListType(NAT), BOOL))
+        l = ObjVar("l", 1, ListType(NAT))
+        x = ObjVar("x", 2, NAT)
+        y = ObjVar("y", 3, NAT)
+        m = axiom(IndList(l, x, Atom(app(Var(p), Var(y), Var(l)))),
+                  TheoryId.NA)
+        q = subst_objvar_proof(m, y, Var(x), NameSupply(100))
+        want = subst_formula_var(m.conclusion, y, Var(x))
+        assert alpha_eq_formula(q.conclusion, want)
+        assert x in formula_free_vars(q.conclusion)
+        assert alpha_eq_formula(recheck(q).conclusion, want)
+
+    def test_shared_subproof_under_capturing_binder(self):
+        # N is used both under "all y" and outside it; x := y must rename
+        # the binder in the first use only.
+        sp = NameSupply()
+        x = ObjVar("x", sp.draw(), BOOL)
+        y = ObjVar("y", sp.draw(), BOOL)
+        v = fresh_assumption("v", Imp(Atom(Var(x)), Atom(Var(y))), sp)
+        n = imp_intro(v, assume(v))
+        m = and_intro(all_intro(y, n), n)
+        q = subst_objvar_proof(m, x, Var(y), sp)
+        assert alpha_eq_formula(q.conclusion,
+                                subst_formula_var(m.conclusion, x, Var(y)))
+        assert q.conclusion.right == Imp(Imp(Atom(Var(y)), Atom(Var(y))),
+                                         Imp(Atom(Var(y)), Atom(Var(y))))
+        recheck(q)
+
+    def test_binder_over_x_shields(self):
+        sp = NameSupply()
+        x = ObjVar("x", sp.draw(), BOOL)
+        v = fresh_assumption("v", Atom(Var(x)), sp)
+        m = all_intro(x, imp_intro(v, assume(v)))
+        q = subst_objvar_proof(m, x, TT, sp)
+        assert q.conclusion == m.conclusion
+        assert q.children[0] is m.children[0]
+
 
 class TestSubstBotProof:
     def test_botplus_becomes_efq(self):
@@ -106,6 +147,31 @@ class TestSubstBotProof:
                 got = sorted(((u.name, canonical_formula(u.formula))
                               for u in n.free_assumptions), key=key)
                 assert want == got
+
+    def test_binder_over_substituent_variable_renamed(self):
+        sp = NameSupply()
+        y = ObjVar("y", sp.draw(), BOOL)
+        v = fresh_assumption("v", Imp(Atom(Var(y)), BOT), sp)
+        m = all_intro(y, imp_intro(v, assume(v)))
+        s = Atom(Var(y))
+        q = subst_bot_proof(m, s, sp)
+        assert q.conclusion.bound != y
+        assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
+        recheck(q)
+
+    def test_discharge_across_renamed_binder(self):
+        # The binder over y is renamed because y is free in s; the
+        # assumption used below it must still be the one discharged above.
+        sp = NameSupply()
+        y = ObjVar("y", sp.draw(), BOOL)
+        v = fresh_assumption("v", BOT, sp)
+        m = imp_intro(v, all_intro(y, assume(v)))
+        assert m.free_assumptions == frozenset()
+        s = Atom(Var(y))
+        q = subst_bot_proof(m, s, sp)
+        assert q.free_assumptions == frozenset()
+        assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
+        recheck(q)
 
     def test_truth_substitution_lands_in_na(self):
         for seed in range(100):

@@ -130,6 +130,20 @@ class TestAxiomSchema:
         with pytest.raises(TypeError):
             axiom_schema(BoolCases(n, TRUTH))
 
+    def test_indlist_element_variable_must_not_occur_in_body(self):
+        # With p read as "every element of l equals x", this instance is
+        # false in the standard model: the step binds the free x again.
+        from minarith import IndList, ListType, app, arrow
+        from minarith.syntax import NAT
+        p = ObjVar("p", 0, arrow(NAT, ListType(NAT), BOOL))
+        l = ObjVar("l", 1, ListType(NAT))
+        x = ObjVar("x", 2, NAT)
+        ax = IndList(l, x, Atom(app(Var(p), Var(x), Var(l))))
+        with pytest.raises(EigenvariableError):
+            axiom_schema(ax)
+        with pytest.raises(EigenvariableError):
+            axiom(ax, TheoryId.NA)
+
 
 def test_recheck_random_proofs():
     from minarith import gen_proof

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, ClassError, EmptyGoalError, ShapeError
 from .formula import (BOT, TRUTH, All, And, Bot, Ex, Formula, Imp, TheoryId,
-                      alpha_eq_formula, subst_bot_falsity, theory_leq)
+                      alpha_eq_formula, brief_repr, subst_bot_falsity,
+                      theory_leq)
 from .kernel import (ExIntro, Proof, all_elim, all_intro, assume, axiom,
                      fresh_assumption, imp_elim, imp_elims, imp_intro)
 from .syntax import NameSupply, ObjVar, Var
@@ -58,9 +59,10 @@ def _validate(inp: TranslationInput) -> None:
     want_g = All(inp.x, Imp(inp.G, Imp(Imp(gf, BOT), BOT)))
     if not alpha_eq_formula(inp.cert_D.conclusion, want_d):
         raise CertificateError(
-            f"definite certificate must conclude {want_d!r}")
+            f"definite certificate must conclude {brief_repr(want_d)}")
     if not alpha_eq_formula(inp.cert_G.conclusion, want_g):
-        raise CertificateError(f"goal certificate must conclude {want_g!r}")
+        raise CertificateError(
+            f"goal certificate must conclude {brief_repr(want_g)}")
 
 
 def refined_a_translate(inp: TranslationInput,

@@ -9,6 +9,7 @@ the kernel; the CLI adds none of its own.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .derived import prove_efq, prove_gg_equiv
 from .errors import (CertificateError, ClassError, EigenvariableError,
                      EmptyGoalError, KernelError, LanguageError, ParseError,
                      ShapeError, TheoryError)
-from .formula import TheoryId, theory_leq
+from .formula import TheoryId, gg_translate, in_language, theory_leq
 from .kernel import inspect
 from .search import Derivable, Unknown, bounded_derivable
 from .sexpr import (_print_assumption, parse_formula, parse_proof,
@@ -48,10 +49,17 @@ def _reason(exc: Exception) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
-    else:
+    if out is not None:
         Path(out).write_text(text + "\n", encoding="utf-8")
+        return
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at the null device, so that
+        # the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _cmd_check(args) -> str:
@@ -93,12 +101,11 @@ def _cmd_translate(args) -> str:
 
 
 def _cmd_gg(args) -> str:
-    from .formula import gg_translate
-
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
-    translated = gg_translate(a)
-    return "\n".join([print_formula(translated),
-                      print_proof(prove_gg_equiv(a))])
+    lines = [print_formula(gg_translate(a))]
+    if in_language(a, TheoryId.NA):  # the equivalence is proved over NA
+        lines.append(print_proof(prove_gg_equiv(a)))
+    return "\n".join(lines)
 
 
 def _cmd_efq(args) -> str:
@@ -169,17 +176,17 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        output = args.func(args)
+        try:
+            _emit(args.func(args), args.out)
+        except (KernelError, TypeError, RecursionError, MemoryError) as e:
+            _emit(f"{_reason(e)}: {str(e) or type(e).__name__}", None)
+            return 1
     except ParseError as e:
         print(f"parse-error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"io-error: {e}", file=sys.stderr)
         return 2
-    except (KernelError, TypeError, RecursionError, MemoryError) as e:
-        print(f"{_reason(e)}: {str(e) or type(e).__name__}")
-        return 1
-    _emit(output, args.out)
     return 0
 
 

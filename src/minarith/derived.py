@@ -12,9 +12,9 @@ from dataclasses import fields
 
 from .errors import ClassError, LanguageError
 from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
-                      TheoryId, formula_free_vars, imp, in_language,
-                      min_language, neg, subst_bot, subst_formula_var,
-                      theory_leq)
+                      TheoryId, brief_repr, formula_free_vars, imp,
+                      in_language, min_language, neg, subst_bot,
+                      subst_formula_var, theory_leq)
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, build, fresh_assumption, imp_elim, imp_elims,
@@ -425,4 +425,5 @@ def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
                 assume(u2),
                 imp_intro(v, imp_elim(assume(np), imp_elim(e1, assume(v))))))
             return imp_intros(imp_elims(cd_conj, arg1, arg2), u1, u2)
-    raise ClassError(f"formula {a!r} is outside the case-distinction class")
+    raise ClassError(
+        f"formula {brief_repr(a)} is outside the case-distinction class")

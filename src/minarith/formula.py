@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import LanguageError, TheoryError
-from .syntax import (FF, TT, BOOL, NameSupply, ObjVar, Term, Var,
+from .syntax import (FF, TT, BOOL, App, Lam, NameSupply, ObjVar, Term, Var,
                      canonical_term, free_term_vars, subst_term)
 
 
@@ -342,6 +342,37 @@ def formula_size(a: Formula) -> int:
         case All(_, b) | Ex(_, b):
             return 1 + formula_size(b)
     raise ValueError(f"unexpected formula {a!r}")
+
+
+def written_size(a: Formula | Term, sizes: dict[int, int]) -> int:
+    """Nodes of a formula or term written out as a tree, terms included.
+
+    ``sizes`` memoizes by node identity, so a node shared in a DAG is
+    measured once; it must not outlive the nodes it measured.
+    """
+    n = sizes.get(id(a))
+    if n is None:
+        match a:
+            case Atom(t):
+                below = (t,)
+            case Imp(l, r) | And(l, r) | Or(l, r) | App(l, r):
+                below = (l, r)
+            case All(_, b) | Ex(_, b) | Lam(_, b):
+                below = (b,)
+            case _:
+                below = ()
+        n = sizes[id(a)] = 1 + sum(written_size(b, sizes) for b in below)
+    return n
+
+
+def brief_repr(a: Formula, limit: int = 100) -> str:
+    """``repr(a)`` for an error message, or only its connective and size.
+
+    A formula that shares subformulas can be far larger written out than in
+    memory, so one with more than ``limit`` nodes is not written out.
+    """
+    n = written_size(a, {})
+    return repr(a) if n <= limit else f"<{type(a).__name__} of {n} nodes>"
 
 
 # ---------------------------------------------------------------------------

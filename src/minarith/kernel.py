@@ -13,9 +13,9 @@ from operator import attrgetter
 
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
-                      Or, TheoryId, alpha_eq_formula, formula_free_vars, imp,
-                      min_language, neg, subst_formula_var, theory_join,
-                      theory_leq)
+                      Or, TheoryId, alpha_eq_formula, brief_repr,
+                      formula_free_vars, imp, min_language, neg,
+                      subst_formula_var, theory_join, theory_leq)
 from .syntax import (BOOL, NAT, Const, ListType, NameSupply, ObjVar, Term,
                      Var, app)
 
@@ -272,7 +272,8 @@ def proj(side: int, m: Proof) -> Proof:
     if side not in (0, 1):
         raise ShapeError("projection side must be 0 or 1")
     if not isinstance(m.conclusion, And):
-        raise ShapeError(f"projection needs a conjunction, got {m.conclusion!r}")
+        raise ShapeError("projection needs a conjunction, got "
+                         f"{brief_repr(m.conclusion)}")
     concl = m.conclusion.left if side == 0 else m.conclusion.right
     return Proof(_TOKEN, "proj", (m,), (side,), concl, m.free_assumptions,
                  m.min_theory)
@@ -280,11 +281,12 @@ def proj(side: int, m: Proof) -> Proof:
 
 def imp_elim(m: Proof, n: Proof) -> Proof:
     if not isinstance(m.conclusion, Imp):
-        raise ShapeError(f"modus ponens needs an implication, got {m.conclusion!r}")
+        raise ShapeError("modus ponens needs an implication, got "
+                         f"{brief_repr(m.conclusion)}")
     if not alpha_eq_formula(m.conclusion.prem, n.conclusion):
         raise ShapeError(
-            f"premise mismatch: expected {m.conclusion.prem!r}, "
-            f"got {n.conclusion!r}")
+            f"premise mismatch: expected {brief_repr(m.conclusion.prem)}, "
+            f"got {brief_repr(n.conclusion)}")
     free = _merge_assumptions(m.free_assumptions, n.free_assumptions)
     return Proof(_TOKEN, "imp_elim", (m, n), (), m.conclusion.concl, free,
                  theory_join(m.min_theory, n.min_theory))
@@ -312,7 +314,8 @@ def imp_intros(m: Proof, *us: AssumptionVar) -> Proof:
 def all_elim(m: Proof, t: Term, supply: NameSupply | None = None) -> Proof:
     if not isinstance(m.conclusion, All):
         raise ShapeError(
-            f"instantiation needs a universal formula, got {m.conclusion!r}")
+            "instantiation needs a universal formula, got "
+            f"{brief_repr(m.conclusion)}")
     x, body = m.conclusion.bound, m.conclusion.body
     if t.ty != x.ty:
         raise TypeError(f"instantiating term type {t.ty} does not match {x.ty}")

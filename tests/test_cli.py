@@ -1,12 +1,18 @@
 """Exit codes and output of the command line front end."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from minarith import (All, BOT, ClassId, Imp, NAT, NameSupply, ObjVar,
                       TheoryId, TRUTH, ZERO, all_intro, alpha_eq_formula,
-                      assume, axiom, certify, fresh_assumption, imp_elim,
-                      all_elim, imp_intros, parse_formula, parse_proof,
-                      print_proof, Truth)
+                      and_intro, assume, axiom, certify, fresh_assumption,
+                      gg_translate, imp_elim, all_elim, imp_intros,
+                      parse_formula, parse_proof, print_proof, Truth)
 from minarith.cli import main
 
 from conftest import load_manifest
@@ -80,6 +86,13 @@ class TestCheck:
         assert got == code
         assert (out + err).startswith(reason)
 
+    def test_self_referent_label_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "p.prf"
+        src.write_text("#1=(pair-pf #1# #1#)", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(src), "--theory", "NA")
+        assert code == 2
+        assert err.startswith("parse-error")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", str(tmp_path / "no.prf"),
                            "--theory", "NA")
@@ -93,6 +106,63 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(src), "--theory", "HA")
         assert code == 1
         assert out.startswith("theory-error")
+
+
+# 753 bytes whose conclusion, written out, has 2^40 conjuncts.
+@pytest.mark.parametrize("argv", [["check", "--theory", "NA"],
+                                  ["translate"]])
+def test_doubling_chain_exits_2_quickly(argv, tmp_path, capsys):
+    p = axiom(Truth(), TheoryId.NA)
+    for _ in range(40):
+        p = and_intro(p, p)
+    src = tmp_path / "chain.prf"
+    src.write_text(print_proof(p), encoding="utf-8")
+    start = time.process_time()
+    code, _, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert err.startswith("parse-error")
+
+
+# 660 bytes that, written out, are a tree with 2^39 leaves.
+@pytest.mark.parametrize("argv", [["check", "--theory", "NA"],
+                                  ["classify"]])
+def test_shared_malformed_form_exits_2_quickly(argv, tmp_path, capsys):
+    text = "#0=(axiom truth)"
+    for j in range(1, 40):
+        text = f"#{j}=(axiom {text} #{j - 1}#)"
+    src = tmp_path / "chain.txt"
+    src.write_text(text, encoding="utf-8")
+    start = time.process_time()
+    code, _, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert err.startswith("parse-error") and len(err) < 200
+
+
+class TestOutput:
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "f.fml"
+        src.write_text("(bot)", encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(src),
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2 and out == ""
+        assert err.startswith("io-error") and len(err.splitlines()) == 1
+
+    # Both the result and a failure's reason line go to stdout.
+    @pytest.mark.parametrize("formula", ["(bot)", "(or (bot) (bot))"])
+    def test_closed_stdout_exits_2(self, formula, tmp_path):
+        src = tmp_path / "f.fml"
+        src.write_text(formula, encoding="utf-8")
+        src_dir = Path(__file__).parent.parent / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "minarith.cli", "classify", str(src)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src_dir)})
+        child.stdout.close()  # the reader goes away before any output
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2
+        assert err.startswith("io-error") and len(err.splitlines()) == 1
 
 
 class TestClassify:
@@ -190,6 +260,15 @@ class TestGG:
         code, out, _ = run(capsys, "gg", str(src))
         assert code == 1
         assert out.startswith("language-error")
+
+    def test_ha_formula_gets_translation_alone(self, tmp_path, capsys):
+        a = "(or (atom (tt)) (atom (ff)))"
+        src = tmp_path / "f.fml"
+        src.write_text(a, encoding="utf-8")
+        code, out, _ = run(capsys, "gg", str(src))
+        assert code == 0
+        (line,) = out.strip().splitlines()
+        assert parse_formula(line) == gg_translate(parse_formula(a))
 
 
 class TestEfq:

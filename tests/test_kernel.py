@@ -4,7 +4,7 @@ import pytest
 
 from minarith import (BOT, BoolCases, BotPlus, Imp, Lem, NameSupply, ObjVar,
                       OrIntroL, Proof, TheoryId, TRUTH, Truth, alpha_eq_formula,
-                      and_intro, assume, axiom, axiom_schema, build,
+                      all_elim, and_intro, assume, axiom, axiom_schema, build,
                       fresh_assumption, imp_elim, imp_intro, inspect,
                       parse_formula, recheck)
 from minarith.errors import (EigenvariableError, ShapeError, TheoryError)
@@ -113,6 +113,21 @@ class TestBuildDispatch:
     def test_unknown_rule(self):
         with pytest.raises(ShapeError):
             build("frobnicate", [])
+
+    def test_errors_name_large_conclusions_briefly(self):
+        # A conclusion that shares subformulas, 3,071 nodes written out, is
+        # named in an error by its connective and size, not written out.
+        p = axiom(Truth(), TheoryId.NA)
+        for _ in range(10):
+            p = and_intro(p, p)
+        u = fresh_assumption("u", TRUTH, NameSupply())
+        x = Var(ObjVar("x", 0, BOOL))
+        for bad in (lambda: imp_elim(p, p),
+                    lambda: imp_elim(imp_intro(u, assume(u)), p),
+                    lambda: all_elim(p, x)):
+            with pytest.raises(ShapeError, match="<And of 3071 nodes>") as e:
+                bad()
+            assert len(str(e.value)) < 200
 
 
 class TestAxiomSchema:

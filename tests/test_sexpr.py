@@ -1,14 +1,20 @@
 """Round-trips and error reporting for the S-expression layer."""
 
+from hashlib import sha256
+
 import pytest
 
 from minarith import (Arrow, BOOL, Const, GenConfig, Imp, NAT, NameSupply,
-                      ObjVar, TheoryId, TRUTH, alpha_eq_formula, gen_formula,
-                      gen_proof, parse_formula, parse_proof, parse_term,
-                      parse_type, print_formula, print_proof, print_term,
-                      print_type, read_sexpr, recheck)
+                      ObjVar, TheoryId, TRUTH, Truth, alpha_eq_formula,
+                      and_intro, assume, axiom, fresh_assumption, gen_formula,
+                      gen_proof, imp_elim, imp_intro, parse_formula,
+                      parse_proof, parse_term, parse_type, print_formula,
+                      print_proof, print_term, print_type, prove_efq,
+                      read_sexpr, recheck)
 from minarith.errors import ParseError
 from minarith.syntax import App, Lam, ListType, Prod, TypeVar, Var
+
+from conftest import load_manifest
 
 
 class TestReader:
@@ -117,3 +123,114 @@ class TestProofRoundTrip:
         assert alpha_eq_formula(p.conclusion, Imp(TRUTH, TRUTH))
         q = parse_proof(print_proof(p), TheoryId.NA)
         assert alpha_eq_formula(q.conclusion, p.conclusion)
+
+
+class TestSharedForm:
+    def test_shared_nodes_are_labelled_in_print_order(self):
+        t = axiom(Truth(), TheoryId.NA)
+        u = fresh_assumption("u", TRUTH, NameSupply(0))
+        ident = imp_intro(u, assume(u))
+        p = and_intro(and_intro(t, imp_elim(ident, t)), ident)
+        assert print_proof(p) == (
+            "(pair-pf (pair-pf #0=(axiom truth) (app-pf "
+            "#1=(lam-pf (assume u 0 (atom (tt))) (assume u 0 (atom (tt)))) "
+            "#0#)) #1#)")
+
+    def test_labelled_text_builds_each_form_once(self):
+        text = "(pair-pf #0=(pair-pf #1=(axiom truth) #1#) #0#)"
+        p = parse_proof(text, TheoryId.NA)
+        assert p.children[0] is p.children[1]
+        inner = p.children[0]
+        assert inner.children[0] is inner.children[1]
+        assert print_proof(p) == text
+
+    def test_reader_returns_the_same_list_for_each_use(self):
+        form = read_sexpr("(a #7=(axiom c) (#7#))")
+        assert form == ["a", ["axiom", "c"], [["axiom", "c"]]]
+        assert form[2][0] is form[1]
+
+    def test_random_dags_round_trip(self):
+        for seed in range(60):
+            m = gen_proof(seed, 8, NameSupply(10_000))
+            p = and_intro(m, and_intro(m, m))
+            text = print_proof(p)
+            assert text.count("#0#") == 2
+            q = parse_proof(text, p.min_theory, NameSupply(50_000))
+            assert print_proof(q) == text
+            assert q.children[0] is q.children[1].children[0]
+
+    # One case per kind of malformed label.
+    @pytest.mark.parametrize("text", [
+        "(pair-pf #0# (axiom truth))",
+        "#1=(pair-pf #1# #1#)",
+        "(pair-pf #0=(axiom truth) #0=(axiom truth))",
+        "(pair-pf #0= truth #0#)",
+        "(lam-pf (assume u 0 (atom (tt))) #0=(assume u 0 (atom (tt))))",
+        "(lam-pf (assume u 0 #0=(atom (tt))) (assume u 0 #0#))",
+        "(inst (gen (var x 0 (bool)) (axiom truth)) #0=(tt))",
+        "(gen (var x 0 #0=(bool)) (axiom truth))",
+    ], ids=["undefined", "not-complete", "defined-twice", "not-a-list",
+            "on-assume", "on-formula", "on-term", "on-type"])
+    def test_malformed_labels_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_proof(text, TheoryId.NA)
+
+    def test_unshared_proofs_print_as_plain_trees(self):
+        # Digest of the same proofs printed before labels existed.
+        texts = [print_proof(gen_proof(seed, 12, NameSupply(10_000)))
+                 for seed in range(300)]
+        for th in TheoryId:
+            lang = th if th != TheoryId.PA else TheoryId.HA
+            for seed in range(50):
+                a = gen_formula(GenConfig(seed=seed, max_size=12,
+                                          language=lang))
+                texts.append(print_proof(prove_efq(a, th, NameSupply(50_000))))
+        for e in load_manifest():
+            if e["expect"] == "ok":
+                texts.append(print_proof(
+                    parse_proof(e["text"], TheoryId(e["theory"]))))
+        assert len(texts) == 522
+        assert sha256("\n".join(texts).encode()).hexdigest() == \
+            "a8bc82dfc54641f490668adb424e33fcf872c9de719ead7ab8d224dd995e38ae"
+
+    def test_conclusion_bound_applies_to_labelled_text_only(self):
+        # Each level instantiates x with a term that mentions x three times,
+        # so the conclusion grows as 3^k while the text grows linearly: at
+        # k = 10, 354,293 nodes from 565 tokens.  Tree-form text builds it;
+        # with a label the same text is held to 565^2 nodes.
+        x = "(var x 0 (bool))"
+        t = f"(app (app (app (cases (bool)) {x}) {x}) {x})"
+        text = f"(lam-pf (assume u 0 (atom {x})) (assume u 0 (atom {x})))"
+        for _ in range(10):
+            text = f"(inst (gen {x} {text}) {t})"
+        parse_proof(text, TheoryId.NA)
+        with pytest.raises(ParseError, match="conclusion"):
+            parse_proof("#0=" + text, TheoryId.NA)
+
+
+def axiom_chain(k: int) -> str:
+    # Each level labels an axiom form and uses it again, so at k = 40 the
+    # 660 bytes, written out, are a tree with 2^39 leaves.
+    text = "#0=(axiom truth)"
+    for j in range(1, k):
+        text = f"#{j}=(axiom {text} #{j - 1}#)"
+    return text
+
+
+AXIOM_CHAIN = axiom_chain(40)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_type, AXIOM_CHAIN),
+    (parse_term, AXIOM_CHAIN),
+    (parse_formula, AXIOM_CHAIN),
+    (parse_proof, AXIOM_CHAIN),
+    (parse_proof, f"(proj0 {AXIOM_CHAIN} (axiom truth))"),
+    (parse_proof, f"(gen (var x {AXIOM_CHAIN} (bool)) (axiom truth))"),
+    (parse_proof, f"#40=({AXIOM_CHAIN})"),
+], ids=["type", "term", "formula", "axiom", "arity", "index", "label"])
+def test_errors_quote_shared_forms_briefly(parse, text):
+    args = (TheoryId.NA,) if parse is parse_proof else ()
+    with pytest.raises(ParseError) as e:
+        parse(text, *args)
+    assert "(axiom (axiom" in str(e.value) and len(str(e.value)) < 200

@@ -46,7 +46,15 @@ def test_ladder_walks_keep_sharing():
     assert distinct_nodes(p) == 377
     assert distinct_nodes(recheck(p)) <= 377
     assert distinct_nodes(subst_bot_proof(p, TRUTH)) <= 377
-    assert len(print_proof(p).encode()) == 2_826_333
+    assert len(print_proof(p).encode()) == 26_244
+
+
+def test_ladder_round_trip_keeps_sharing():
+    text = print_proof(ladder(10))
+    q = parse_proof(text, TheoryId.NA)
+    assert distinct_nodes(q) == 377
+    assert distinct_nodes(recheck(q)) == 377
+    assert print_proof(q) == text
 
 
 def test_map_proof_visits_each_distinct_node_once():

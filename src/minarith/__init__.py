@@ -5,14 +5,14 @@ from .errors import (CertificateError, ClassError, EigenvariableError,
                      ShapeError, TheoryError)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Arrow, BoolType,
                      Const, Lam, ListType, NameSupply, NatType, ObjType,
-                     ObjVar, Prod, Term, TypeVar, Var, alpha_eq, app, arrow,
-                     free_term_vars, subst_term, type_of)
+                     ObjVar, Prod, Term, TypeVar, Var, app, arrow,
+                     free_term_vars, type_of)
 from .formula import (BOT, FALSITY, TRUTH, All, And, Atom, Bot, Ex, Formula,
-                      Imp, Or, TheoryId, alpha_eq_formula, formula_free_vars,
-                      formula_size, gg_translate, imp, in_language,
-                      min_language, neg, subst_bot, subst_bot_falsity,
-                      subst_formula_var, theory_join, theory_leq, weak_and,
-                      weak_exists, weak_or)
+                      Imp, Or, TheoryId, alpha_eq, alpha_eq_formula,
+                      formula_free_vars, formula_size, gg_translate, imp,
+                      in_language, min_language, neg, subst, subst_bot,
+                      subst_bot_falsity, subst_formula_var, subst_term,
+                      theory_join, theory_leq, weak_and, weak_exists, weak_or)
 from .kernel import (AssumptionVar, AxiomId, BoolCases, BotPlus, ExElim,
                      ExIntro, IndList, IndNat, Judgement, Lem, OrElim,
                      OrIntroL, OrIntroR, Proof, Truth, all_elim, all_intro,

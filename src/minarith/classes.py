@@ -15,7 +15,6 @@ capture all formulas with these properties.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 from .errors import LanguageError
@@ -60,7 +59,12 @@ class ClassReport:
 
 
 def in_Q(a: Formula) -> bool:
-    """Atoms closed under implication, conjunction, and booleans quantifiers."""
+    """Atoms closed under implication, conjunction, and booleans quantifiers.
+
+    ``forall x B`` is in Q when ``B[x := tt]`` and ``B[x := ff]`` are, which
+    holds exactly when ``B`` is: putting a constant in for ``x`` changes
+    atom payloads only.
+    """
     match a:
         case Atom():
             return True
@@ -71,10 +75,7 @@ def in_Q(a: Formula) -> bool:
         case And(l, r):
             return in_Q(l) and in_Q(r)
         case All(x, b):
-            if x.ty != BOOL:
-                return False
-            return in_Q(subst_formula_var(b, x, Const("tt"))) and \
-                in_Q(subst_formula_var(b, x, Const("ff")))
+            return x.ty == BOOL and in_Q(b)
         case Or() | Ex():
             return False
     raise ValueError(f"unexpected formula {a!r}")
@@ -86,40 +87,52 @@ def in_QF(a: Formula) -> bool:
     return in_Q(subst_bot_falsity(a))
 
 
-@functools.cache
-def _flags(a: Formula) -> tuple[bool, bool, bool, bool]:
-    """(definite, goal, relevant, irrelevant) per the mutual recursion."""
+def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
+    """(definite, goal, relevant, irrelevant) per the mutual recursion.
+
+    ``memo`` lives for one ``classify`` or ``certify`` call and is keyed on
+    node identity.  It matters at Bool quantifiers, whose goal flag needs
+    both instances of the body: an instance shares the untouched
+    subformulas of the body, so each is classified once rather than once
+    per enclosing quantifier.
+    """
+    hit = memo.get(id(a))
+    if hit is not None:
+        return hit[1]
     match a:
         case Bot():
-            return (True, True, True, False)
+            out = (True, True, True, False)
         case Atom(t):
-            return (True, True, t == Const("tt"), True)
+            out = (True, True, t == Const("tt"), True)
         case Imp(p, c):
-            pd, pg, pr, pi = _flags(p)
-            cd, cg, cr, ci = _flags(c)
+            pd, pg, pr, pi = _flags(p, memo)
+            cd, cg, cr, ci = _flags(c, memo)
             d = (pi and cd) or (pg and cr)
             g = ((pr or (pd and in_QF(p))) and cg) or (pd and ci)
             r = pg and cr
             i = pd and ci
-            return (d, g, r, i)
+            out = (d, g, r, i)
         case And(l, r_):
-            fl = _flags(l)
-            fr = _flags(r_)
-            return tuple(x and y for x, y in zip(fl, fr))
+            fl = _flags(l, memo)
+            fr = _flags(r_, memo)
+            out = tuple(x and y for x, y in zip(fl, fr))
         case All(x, b):
-            bd, bg, br, bi = _flags(b)
+            bd, bg, br, bi = _flags(b, memo)
             g = bi
             if not g and x.ty == BOOL:
-                g = _flags(subst_formula_var(b, x, Const("tt")))[1] and \
-                    _flags(subst_formula_var(b, x, Const("ff")))[1]
-            return (bd or br, g, br, bi)
-    raise ValueError(f"unexpected formula {a!r}")
+                g = _flags(subst_formula_var(b, x, Const("tt")), memo)[1] \
+                    and _flags(subst_formula_var(b, x, Const("ff")), memo)[1]
+            out = (bd or br, g, br, bi)
+        case _:
+            raise ValueError(f"unexpected formula {a!r}")
+    memo[id(a)] = (a, out)  # holding a keeps its id from being reused
+    return out
 
 
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
     if not in_language(a, TheoryId.MA):
         raise LanguageError("class membership is defined on MA formulas")
-    d, g, r, i = _flags(a)
+    d, g, r, i = _flags(a, {})
     report = ClassReport(in_Q=in_Q(a), in_QF=in_QF(a), in_D=d, in_G=g,
                          in_R=r, in_I=i)
     if with_certificates:
@@ -152,9 +165,10 @@ def certify(a: Formula, c: ClassId,
                                       TheoryId.MA, supply)
     index = {ClassId.DEFINITE: 0, ClassId.GOAL: 1, ClassId.RELEVANT: 2,
              ClassId.IRRELEVANT: 3}[c]
-    if not _flags(a)[index]:
+    # certificates under (formula, class), flags under id(formula)
+    memo: dict = {}
+    if not _flags(a, memo)[index]:
         return None
-    memo: dict[tuple[Formula, ClassId], Proof] = {}
     return _cert(a, c, supply, memo)
 
 
@@ -214,8 +228,8 @@ def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
 
 
 def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
-    pd, pg, pr, pi = _flags(p)
-    qd, qg, qr, qi = _flags(q)
+    pd, pg, pr, pi = _flags(p, memo)
+    qd, qg, qr, qi = _flags(q, memo)
     pf = subst_bot_falsity(p)
     qf = subst_bot_falsity(q)
 
@@ -367,7 +381,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
         body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
-        if _flags(b)[3]:
+        if _flags(b, memo)[3]:
             # body irrelevant
             ih = _cert(b, ClassId.IRRELEVANT, supply, memo)
             u = fresh_assumption("u", a, supply)

@@ -12,15 +12,13 @@ from dataclasses import fields
 
 from .errors import ClassError, LanguageError
 from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
-                      TheoryId, brief_repr, formula_free_vars, imp,
-                      in_language, min_language, neg, subst_bot,
-                      subst_formula_var, theory_leq)
+                      TheoryId, brief_repr, imp, in_language, min_language,
+                      neg, subst, subst_formula_var, theory_leq)
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, build, fresh_assumption, imp_elim, imp_elims,
                      imp_intro, imp_intros, map_proof, proj)
-from .syntax import (BOOL, Const, NameSupply, ObjVar, Term, Var,
-                     free_term_vars, subst_term)
+from .syntax import BOOL, NO_VARS, Const, NameSupply, ObjVar, Term, Var
 
 
 def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
@@ -46,7 +44,7 @@ def _efq(a: Formula, th: TheoryId, supply: NameSupply) -> Proof:
         case Bot():
             return axiom(BotPlus(), th)
         case Atom(t):
-            b = _fresh_bool_var(supply, free_term_vars(t))
+            b = _fresh_bool_var(supply, t.fv)
             cases = axiom(BoolCases(b, Atom(Var(b))), th, supply)
             inst = all_elim(cases, t, supply)  # T -> F -> atom t
             return imp_elim(inst, axiom(Truth(), th))
@@ -112,15 +110,15 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
                  supply: NameSupply | None) -> Proof:
     """The walk shared by both proof substitutions, over (node, sigma) pairs.
 
-    sigma is the variable substitution in force at the node, as (y, r) pairs
-    applied in order.  A binder over y (an ``all_intro`` eigenvariable or an
-    axiom's ``ObjVar`` field) drops y from sigma, and renames y first if sigma
-    or ``s`` would insert a free y.  Then ``s``, if given, replaces bottom.
+    sigma is the simultaneous variable substitution in force at the node, as
+    a tuple of (y, r) pairs.  A binder over y (an ``all_intro`` eigenvariable
+    or an axiom's ``ObjVar`` field) drops y from sigma, and renames y if sigma
+    or ``s`` would insert a free y.  ``s``, if given, replaces bottom.
     Rebuilt axioms live in ``th``, or in their own theory if it is None.
     """
     if supply is None:
         supply = NameSupply()
-    fv_s = frozenset() if s is None else formula_free_vars(s)
+    fv_s = NO_VARS if s is None else s.fv
     # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
     # id, and images of assumption variables by their image formula and,
     # to compute that once per object, by (id, sigma).
@@ -140,23 +138,16 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
     def enter(y: ObjVar, sigma, formulas):
         """Eigenvariable and substitution below a binder over ``y``."""
         sigma = tuple(p for p in sigma if p[0] != y)
-        inserted = fv_s.union(*(free_term_vars(r) for _, r in sigma))
+        inserted = fv_s.union(*(r.fv for _, r in sigma))
         if y not in inserted:
             return y, sigma
         avoid = inserted.union({y}, (v for v, _ in sigma),
-                               *map(formula_free_vars, formulas))
+                               *(f.fv for f in formulas))
         renamed = supply.fresh_avoiding(y, avoid)
         return renamed, ((y, Var(renamed)),) + sigma
 
-    def term(t: Term, sigma) -> Term:
-        for y, r in sigma:
-            t = subst_term(t, y, r, supply)
-        return t
-
-    def formula(f: Formula, sigma) -> Formula:
-        for y, r in sigma:
-            f = subst_formula_var(f, y, r, supply)
-        return f if s is None else subst_bot(f, s, supply)
+    def rewrite(a: Formula | Term, sigma) -> Formula | Term:
+        return subst(a, dict(sigma), s, supply)
 
     def assumption(u: AssumptionVar, sigma) -> AssumptionVar:
         # Keyed on the image formula: a binder renaming its eigenvariable
@@ -165,7 +156,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         # imp_intro of one assumption get one image.
         image = images.get((id(u), sigma))
         if image is None:
-            f = formula(u.formula, sigma)
+            f = rewrite(u.formula, sigma)
             image = amap.get((u, f))
             if image is None:
                 image = amap[u, f] = (
@@ -186,8 +177,8 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
             if isinstance(v, ObjVar):
                 renamed[v], inner = enter(v, inner, bodies)
         new = [renamed[v] if isinstance(v, ObjVar)
-               else formula(v, inner) if isinstance(v, Formula)
-               else term(v, sigma) for v in values]
+               else rewrite(v, inner if isinstance(v, Formula) else sigma)
+               for v in values]
         return axiom(type(ax)(*new), th or m.min_theory, supply)
 
     def children(n):
@@ -214,7 +205,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
             case "imp_intro":
                 return imp_intro(assumption(m.params[0], inner), kids[0])
             case "all_elim":
-                return all_elim(kids[0], term(m.params[0], inner), supply)
+                return all_elim(kids[0], rewrite(m.params[0], inner), supply)
             case "all_intro":
                 return all_intro(binders[id(n)], kids[0])
         return build(m.rule, kids, m.params)
@@ -248,7 +239,7 @@ def _gg_equiv(a: Formula, supply: NameSupply) -> Proof:
             v = fresh_assumption("v", neg(a), supply)
             fwd = imp_intro(u, imp_intro(v, imp_elim(assume(v), assume(u))))
             # direction ~~A -> A via case distinction on the payload
-            b = _fresh_bool_var(supply, free_term_vars(t))
+            b = _fresh_bool_var(supply, t.fv)
             atom_b = Atom(Var(b))
             body = Imp(neg(neg(atom_b)), atom_b)
             inst = all_elim(axiom(BoolCases(b, body), na, supply), t, supply)
@@ -327,9 +318,7 @@ def prove_case_distinction(a: Formula, s: Formula, th: TheoryId,
 def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
     match a:
         case Atom(t):
-            avoid = free_term_vars(t) | {v for f in (s,)
-                                         for v in formula_free_vars(f)}
-            b = _fresh_bool_var(supply, avoid)
+            b = _fresh_bool_var(supply, t.fv | s.fv)
             atom_b = Atom(Var(b))
             body = imp(Imp(atom_b, s), Imp(neg(atom_b), s), s)
             inst = all_elim(axiom(BoolCases(b, body), th, supply), t, supply)

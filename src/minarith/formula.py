@@ -4,66 +4,105 @@ One ``Formula`` type covers every theory; ``in_language`` decides which
 theory's language a formula belongs to.  ``NA`` has atoms, implication,
 conjunction, and universal quantification.  ``MA`` adds the propositional
 symbol bottom, ``HA``/``PA`` instead add strong disjunction and existence.
+
+Like terms, formulas carry facts set at construction: their free variables
+``fv``, whether they contain bottom (``has_bot``) or strong disjunction or
+existence (``has_strong``), and a hash kept after first use.  ``subst`` is
+the one substitution over terms and formulas.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import LanguageError, TheoryError
-from .syntax import (FF, TT, BOOL, App, Lam, NameSupply, ObjVar, Term, Var,
-                     canonical_term, free_term_vars, subst_term)
+from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Lam, NameSupply,
+                     ObjVar, Term, Var, bind, node, union)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Formula:
     """Base class of the closed set of formula variants."""
 
-    __slots__ = ()
+    fv: frozenset[ObjVar] = field(init=False, compare=False, repr=False)
+    has_bot: bool = field(init=False, compare=False, repr=False)
+    has_strong: bool = field(init=False, compare=False, repr=False)
+    _hash: int | None = field(init=False, compare=False, repr=False,
+                              default=None)
+
+    def _facts(self, fv, has_bot, has_strong):
+        object.__setattr__(self, "fv", fv)
+        object.__setattr__(self, "has_bot", has_bot)
+        object.__setattr__(self, "has_strong", has_strong)
 
 
-@dataclass(frozen=True)
+@node
 class Bot(Formula):
-    pass
+    def __post_init__(self):
+        self._facts(NO_VARS, True, False)
 
 
-@dataclass(frozen=True)
+@node
 class Atom(Formula):
     term: Term
 
     def __post_init__(self):
         if self.term.ty != BOOL:
             raise TypeError(f"atom payload must be boolean, got {self.term.ty}")
+        self._facts(self.term.fv, False, False)
 
 
-@dataclass(frozen=True)
+@node
 class Imp(Formula):
     prem: Formula
     concl: Formula
 
+    def __post_init__(self):
+        p, c = self.prem, self.concl
+        self._facts(union(p.fv, c.fv), p.has_bot or c.has_bot,
+                    p.has_strong or c.has_strong)
 
-@dataclass(frozen=True)
+
+@node
 class And(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        l, r = self.left, self.right
+        self._facts(union(l.fv, r.fv), l.has_bot or r.has_bot,
+                    l.has_strong or r.has_strong)
 
-@dataclass(frozen=True)
+
+@node
 class All(Formula):
     bound: ObjVar
     body: Formula
 
+    def __post_init__(self):
+        b = self.body
+        self._facts(bind(self.bound, b.fv), b.has_bot, b.has_strong)
 
-@dataclass(frozen=True)
+
+@node
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        l, r = self.left, self.right
+        self._facts(union(l.fv, r.fv), l.has_bot or r.has_bot, True)
 
-@dataclass(frozen=True)
+
+@node
 class Ex(Formula):
     bound: ObjVar
     body: Formula
+
+    def __post_init__(self):
+        b = self.body
+        self._facts(bind(self.bound, b.fv), b.has_bot, True)
 
 
 BOT = Bot()
@@ -114,23 +153,8 @@ def theory_join(a: TheoryId, b: TheoryId) -> TheoryId:
 
 
 def in_language(a: Formula, th: TheoryId) -> bool:
-    match a:
-        case Bot():
-            return th == TheoryId.MA
-        case Atom():
-            return True
-        case Imp(p, c):
-            return in_language(p, th) and in_language(c, th)
-        case And(l, r):
-            return in_language(l, th) and in_language(r, th)
-        case Or(l, r):
-            return th in (TheoryId.HA, TheoryId.PA) and \
-                in_language(l, th) and in_language(r, th)
-        case All(_, b):
-            return in_language(b, th)
-        case Ex(_, b):
-            return th in (TheoryId.HA, TheoryId.PA) and in_language(b, th)
-    raise ValueError(f"unexpected formula {a!r}")
+    return ((th == TheoryId.MA or not a.has_bot) and
+            (th in (TheoryId.HA, TheoryId.PA) or not a.has_strong))
 
 
 def min_language(a: Formula) -> TheoryId:
@@ -139,45 +163,13 @@ def min_language(a: Formula) -> TheoryId:
     Raises ``LanguageError`` when the formula mixes bottom with strong
     disjunction or existence, since no theory has both.
     """
-    has_bot = _contains_bot(a)
-    has_strong = _contains_or_ex(a)
-    if has_bot and has_strong:
+    if a.has_bot and a.has_strong:
         raise LanguageError("formula mixes bottom with strong or/exists")
-    if has_bot:
+    if a.has_bot:
         return TheoryId.MA
-    if has_strong:
+    if a.has_strong:
         return TheoryId.HA
     return TheoryId.NA
-
-
-def _contains_bot(a: Formula) -> bool:
-    match a:
-        case Bot():
-            return True
-        case Atom():
-            return False
-        case Imp(p, c):
-            return _contains_bot(p) or _contains_bot(c)
-        case And(l, r) | Or(l, r):
-            return _contains_bot(l) or _contains_bot(r)
-        case All(_, b) | Ex(_, b):
-            return _contains_bot(b)
-    raise ValueError(f"unexpected formula {a!r}")
-
-
-def _contains_or_ex(a: Formula) -> bool:
-    match a:
-        case Bot() | Atom():
-            return False
-        case Or() | Ex():
-            return True
-        case Imp(p, c):
-            return _contains_or_ex(p) or _contains_or_ex(c)
-        case And(l, r):
-            return _contains_or_ex(l) or _contains_or_ex(r)
-        case All(_, b):
-            return _contains_or_ex(b)
-    raise ValueError(f"unexpected formula {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,84 +177,104 @@ def _contains_or_ex(a: Formula) -> bool:
 
 
 def formula_free_vars(a: Formula) -> frozenset[ObjVar]:
-    match a:
-        case Bot():
-            return frozenset()
-        case Atom(t):
-            return free_term_vars(t)
-        case Imp(p, c):
-            return formula_free_vars(p) | formula_free_vars(c)
-        case And(l, r) | Or(l, r):
-            return formula_free_vars(l) | formula_free_vars(r)
-        case All(x, b) | Ex(x, b):
-            return formula_free_vars(b) - {x}
-    raise ValueError(f"unexpected formula {a!r}")
+    return a.fv
 
 
-def canonical_formula(a: Formula, env: dict[ObjVar, int] | None = None,
-                      depth: int = 0):
-    env = env or {}
+def canonical_formula(a: Formula | Term):
+    """Nameless (de Bruijn level) form of a formula or term.
 
-    def go(a: Formula, env: dict[ObjVar, int], depth: int):
+    Two formulas, or two terms, are alpha-equal when their forms are equal.
+    """
+    def go(a, env: dict[ObjVar, int], depth: int):
         match a:
+            case Var(v):
+                if v in env:
+                    return ("bound", env[v])
+                return ("free", v.name, v.index, v.ty)
+            case Const(tag, params):
+                return ("const", tag, params)
             case Bot():
                 return ("bot",)
             case Atom(t):
-                return ("atom", canonical_term(t, env, depth))
-            case Imp(p, c):
-                return ("imp", go(p, env, depth), go(c, env, depth))
-            case And(l, r):
-                return ("and", go(l, env, depth), go(r, env, depth))
-            case Or(l, r):
-                return ("or", go(l, env, depth), go(r, env, depth))
-            case All(x, b) | Ex(x, b):
-                tag = "all" if isinstance(a, All) else "ex"
-                inner = dict(env)
-                inner[x] = depth
-                return (tag, x.ty, go(b, inner, depth + 1))
-        raise ValueError(f"unexpected formula {a!r}")
+                return ("atom", go(t, env, depth))
+            case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+                return (type(a).__name__.lower(), go(l, env, depth),
+                        go(r, env, depth))
+            case Lam(x, b) | All(x, b) | Ex(x, b):
+                return (type(a).__name__.lower(), x.ty,
+                        go(b, {**env, x: depth}, depth + 1))
+        raise ValueError(f"unexpected node {a!r}")
 
-    return go(a, env, depth)
+    return go(a, {}, 0)
 
 
-def alpha_eq_formula(a: Formula, b: Formula) -> bool:
-    return canonical_formula(a) == canonical_formula(b)
+def alpha_eq(a: Formula | Term, b: Formula | Term) -> bool:
+    """Equality of two formulas, or two terms, up to bound variable names."""
+    return a is b or a == b or canonical_formula(a) == canonical_formula(b)
 
 
-def subst_formula_var(a: Formula, x: ObjVar, t: Term,
-                      supply: NameSupply | None = None) -> Formula:
+alpha_eq_formula = alpha_eq
+
+
+def subst(a: Formula | Term, sigma, bot: Formula | None = None,
+          supply: NameSupply | None = None) -> Formula | Term:
+    """Simultaneous capture-avoiding substitution in a formula or term.
+
+    Replaces each free variable ``x`` of ``a`` in the mapping ``sigma`` by
+    the term ``sigma[x]`` and, if ``bot`` is given, each bottom by ``bot``.
+    A binder whose variable is free in what would be inserted below it is
+    renamed, with an index drawn from ``supply``.  A node with nothing to
+    replace comes back as it is, and each node is rebuilt at most once
+    (memoized on identity), so the result shares what ``a`` shares.
+    """
+    if supply is None:
+        supply = NameSupply()
+    keys = frozenset(sigma)  # a set's isdisjoint reuses the stored hashes
+    memo = {}
+
+    def go(n):
+        if keys.isdisjoint(n.fv) and (bot is None or isinstance(n, Term)
+                                      or not n.has_bot):
+            return n
+        out = memo.get(id(n))
+        if out is not None:
+            return out
+        match n:
+            case Var(v):
+                out = sigma[v]
+            case Bot():
+                out = bot
+            case Atom(t):
+                out = Atom(go(t))
+            case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+                out = type(n)(go(l), go(r))
+            case Lam(x, b) | All(x, b) | Ex(x, b):
+                inner = sigma
+                if x in sigma:
+                    inner = {y: t for y, t in sigma.items() if y != x}
+                inserted = [t.fv for y, t in inner.items() if y in b.fv]
+                if bot is not None and isinstance(b, Formula) and b.has_bot:
+                    inserted.append(bot.fv)
+                if any(x in fv for fv in inserted):
+                    fresh = supply.fresh_avoiding(x, b.fv.union(*inserted))
+                    inner, x = {**inner, x: Var(fresh)}, fresh
+                out = type(n)(x, go(b) if inner is sigma
+                              else subst(b, inner, bot, supply))
+        memo[id(n)] = out
+        return out
+
+    return go(a)
+
+
+def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,
+                      supply: NameSupply | None = None) -> Formula | Term:
     """Capture-avoiding substitution of ``x`` by ``t`` in ``a``."""
     if t.ty != x.ty:
         raise TypeError(f"cannot substitute term of type {t.ty} for {x}")
-    if supply is None:
-        supply = NameSupply()
-    fv_t = free_term_vars(t)
+    return subst(a, {x: t}, supply=supply)
 
-    def go(a: Formula) -> Formula:
-        match a:
-            case Bot():
-                return a
-            case Atom(payload):
-                return Atom(subst_term(payload, x, t, supply))
-            case Imp(p, c):
-                return Imp(go(p), go(c))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case All(y, b) | Ex(y, b):
-                cls = All if isinstance(a, All) else Ex
-                if y == x:
-                    return a
-                if y in fv_t and x in formula_free_vars(b):
-                    avoid = fv_t | formula_free_vars(b) | {x}
-                    renamed = supply.fresh_avoiding(y, avoid)
-                    b = subst_formula_var(b, y, Var(renamed), supply)
-                    return cls(renamed, go(b))
-                return cls(y, go(b))
-        raise ValueError(f"unexpected formula {a!r}")
 
-    return go(a)
+subst_term = subst_formula_var
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +284,9 @@ def subst_formula_var(a: Formula, x: ObjVar, t: Term,
 def subst_bot(a: Formula, s: Formula,
               supply: NameSupply | None = None) -> Formula:
     """Replace every bottom in ``a`` by ``s`` (the substitution A^S)."""
-    if _contains_or_ex(a):
+    if a.has_strong:
         raise LanguageError("bottom substitution needs a formula without or/exists")
-    if supply is None:
-        supply = NameSupply()
-    fv_s = formula_free_vars(s)
-
-    def go(a: Formula) -> Formula:
-        match a:
-            case Bot():
-                return s
-            case Atom():
-                return a
-            case Imp(p, c):
-                return Imp(go(p), go(c))
-            case And(l, r):
-                return And(go(l), go(r))
-            case All(x, b):
-                # Renaming is only needed when s really gets inserted below
-                # the binder and would have its free x captured.
-                if x in fv_s and _contains_bot(b):
-                    avoid = fv_s | formula_free_vars(b) | {x}
-                    renamed = supply.fresh_avoiding(x, avoid)
-                    b = subst_formula_var(b, x, Var(renamed), supply)
-                    return All(renamed, go(b))
-                return All(x, go(b))
-        raise ValueError(f"unexpected formula {a!r}")
-
-    return go(a)
+    return subst(a, {}, s, supply)
 
 
 def subst_bot_falsity(a: Formula) -> Formula:
@@ -309,7 +296,7 @@ def subst_bot_falsity(a: Formula) -> Formula:
 
 def gg_translate(a: Formula) -> Formula:
     """Goedel-Gentzen negative translation into the NA language."""
-    if _contains_bot(a):
+    if a.has_bot:
         raise LanguageError("negative translation is defined on HA/PA formulas")
 
     match a:

@@ -13,11 +13,10 @@ from operator import attrgetter
 
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
-                      Or, TheoryId, alpha_eq_formula, brief_repr,
-                      formula_free_vars, imp, min_language, neg,
-                      subst_formula_var, theory_join, theory_leq)
-from .syntax import (BOOL, NAT, Const, ListType, NameSupply, ObjVar, Term,
-                     Var, app)
+                      Or, TheoryId, alpha_eq_formula, brief_repr, imp,
+                      min_language, neg, subst, theory_join, theory_leq)
+from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
+                     NameSupply, ObjVar, Term, Var, app)
 
 
 @dataclass(frozen=True)
@@ -135,27 +134,28 @@ def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
         case BoolCases(b, a):
             if b.ty != BOOL:
                 raise TypeError("case-distinction axiom needs a boolean variable")
-            a_tt = subst_formula_var(a, b, Const("tt"), supply)
-            a_ff = subst_formula_var(a, b, Const("ff"), supply)
+            a_tt = subst(a, {b: TT}, supply=supply)
+            a_ff = subst(a, {b: FF}, supply=supply)
             return All(b, imp(a_tt, a_ff, a))
         case IndNat(n, a):
             if n.ty != NAT:
                 raise TypeError("nat induction needs a variable of type nat")
-            a_zero = subst_formula_var(a, n, Const("zero"), supply)
-            a_succ = subst_formula_var(a, n, app(Const("succ"), Var(n)), supply)
+            a_zero = subst(a, {n: ZERO}, supply=supply)
+            a_succ = subst(a, {n: App(SUCC, Var(n))}, supply=supply)
             return All(n, imp(a_zero, All(n, Imp(a, a_succ)), a))
         case IndList(l, x, a):
             if not isinstance(l.ty, ListType):
                 raise TypeError("list induction needs a variable of list type")
             if x.ty != l.ty.elem:
                 raise TypeError("element variable type must match the list type")
-            if x in formula_free_vars(a):
+            if x in a.fv:
                 raise EigenvariableError(
                     "list induction element variable is free in the body")
             elem = l.ty.elem
-            a_nil = subst_formula_var(a, l, Const("nil", (elem,)), supply)
-            a_cons = subst_formula_var(
-                a, l, app(Const("cons", (elem,)), Var(x), Var(l)), supply)
+            a_nil = subst(a, {l: Const("nil", (elem,))}, supply=supply)
+            a_cons = subst(
+                a, {l: app(Const("cons", (elem,)), Var(x), Var(l))},
+                supply=supply)
             return All(l, imp(a_nil, All(x, All(l, Imp(a, a_cons))), a))
         case BotPlus():
             return Imp(FALSITY, BOT)
@@ -168,9 +168,9 @@ def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
         case ExIntro(a, x, t):
             if t.ty != x.ty:
                 raise TypeError("existence witness type must match the variable")
-            return Imp(subst_formula_var(a, x, t, supply), Ex(x, a))
+            return Imp(subst(a, {x: t}, supply=supply), Ex(x, a))
         case ExElim(a, x, c):
-            if x in formula_free_vars(c):
+            if x in c.fv:
                 raise EigenvariableError(
                     "existence elimination variable is free in the conclusion")
             return imp(Ex(x, a), All(x, Imp(a, c)), c)
@@ -319,14 +319,14 @@ def all_elim(m: Proof, t: Term, supply: NameSupply | None = None) -> Proof:
     x, body = m.conclusion.bound, m.conclusion.body
     if t.ty != x.ty:
         raise TypeError(f"instantiating term type {t.ty} does not match {x.ty}")
-    concl = subst_formula_var(body, x, t, supply)
+    concl = subst(body, {x: t}, supply=supply)
     return Proof(_TOKEN, "all_elim", (m,), (t,), concl, m.free_assumptions,
                  m.min_theory)
 
 
 def all_intro(x: ObjVar, m: Proof) -> Proof:
     for u in m.free_assumptions:
-        if x in formula_free_vars(u.formula):
+        if x in u.formula.fv:
             raise EigenvariableError(
                 f"variable {x.name}_{x.index} is free in open assumption "
                 f"{u.name}_{u.index}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Ex, Formula,
-                      Imp, Or, TheoryId, alpha_eq_formula, formula_free_vars,
-                      formula_size, in_language, neg, subst_formula_var)
+                      Imp, Or, TheoryId, alpha_eq_formula, formula_size,
+                      in_language, neg, subst_formula_var)
 from .kernel import (BotPlus, ExIntro, Lem, OrIntroL, OrIntroR,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, fresh_assumption, imp_elim, imp_intro, proj)
@@ -136,9 +136,7 @@ def _prove(ctx, goal: Formula, th: TheoryId, depth: int, pool, supply,
                 if right is not None:
                     return and_intro(left, right)
         case All(x, b):
-            avoid = set(formula_free_vars(goal))
-            for u in ctx:
-                avoid |= formula_free_vars(u.formula)
+            avoid = goal.fv.union(*(u.formula.fv for u in ctx))
             fresh = supply.fresh_avoiding(x, avoid)
             body = subst_formula_var(b, x, Var(fresh), supply)
             sub = _prove(ctx, body, th, depth - 1, pool, supply, budget)

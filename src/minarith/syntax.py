@@ -2,8 +2,9 @@
 
 Terms are immutable and well-typed by construction: ``App`` rejects argument
 type mismatches with ``TypeError`` at creation time, so ``type_of`` is total.
-Capture-avoiding substitution draws renamed binders from an explicit
-``NameSupply``; alpha-equality goes through a canonical nameless form.
+Every term carries its free variables, set at construction from its
+children's, and a hash computed on first use (see ``node``).  Substitution
+and alpha-equality walk terms and formulas together, in ``formula``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,49 @@ class NameSupply:
 
 
 # ---------------------------------------------------------------------------
+# Nodes of terms and formulas
+
+
+# One shared empty set: on 3.11 each frozenset() call makes a new object.
+NO_VARS: frozenset[ObjVar] = frozenset()
+
+
+def node(cls):
+    """Frozen, slotted dataclass variant of a term or formula.
+
+    Its base class declares the facts kept per node (``fv`` and more) as
+    fields left out of ``==``, ``hash`` and ``repr``; the variant's
+    ``__post_init__`` sets them from its children's in O(1).  The hash is
+    computed on first use and kept, so hashing a DAG costs its size.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _node_hash
+    return cls
+
+
+def _node_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        # __match_args__ names the init fields: exactly those == compares.
+        h = hash((type(self), *map(self.__getattribute__,
+                                   self.__match_args__)))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+def union(a: frozenset[ObjVar], b: frozenset[ObjVar]) -> frozenset[ObjVar]:
+    """``a | b``, reusing ``a`` or ``b`` when one contains the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def bind(x: ObjVar, fv: frozenset[ObjVar]) -> frozenset[ObjVar]:
+    """The free variables ``fv`` of a body, seen from outside a binder on ``x``."""
+    return fv - {x} if x in fv else fv
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 # tag -> (number of type parameters, type builder)
@@ -126,32 +170,39 @@ _CONST_SPECS = {
 }
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Term:
     """Base class of the closed set of term variants."""
 
-    __slots__ = ()
+    fv: frozenset[ObjVar] = field(init=False, compare=False, repr=False)
+    _hash: int | None = field(init=False, compare=False, repr=False,
+                              default=None)
 
     @property
     def ty(self) -> ObjType:
         return self._ty  # set by each variant
 
 
-@dataclass(frozen=True)
+@node
 class Var(Term):
     var: ObjVar
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", frozenset((self.var,)))
 
     @property
     def ty(self) -> ObjType:
         return self.var.ty
 
 
-@dataclass(frozen=True)
+@node
 class Const(Term):
     tag: str
     params: tuple[ObjType, ...] = ()
     _ty: ObjType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "fv", NO_VARS)
         spec = _CONST_SPECS.get(self.tag)
         if spec is None:
             raise ValueError(f"unknown constant tag {self.tag!r}")
@@ -163,13 +214,14 @@ class Const(Term):
         object.__setattr__(self, "_ty", build(*self.params))
 
 
-@dataclass(frozen=True)
+@node
 class App(Term):
     fun: Term
     arg: Term
     _ty: ObjType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "fv", union(self.fun.fv, self.arg.fv))
         fun_ty = self.fun.ty
         if not isinstance(fun_ty, Arrow):
             raise TypeError(f"applied term has non-arrow type {fun_ty}")
@@ -179,10 +231,13 @@ class App(Term):
         object.__setattr__(self, "_ty", fun_ty.cod)
 
 
-@dataclass(frozen=True)
+@node
 class Lam(Term):
     bound: ObjVar
     body: Term
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", bind(self.bound, self.body.fv))
 
     @property
     def ty(self) -> ObjType:
@@ -206,75 +261,7 @@ def type_of(t: Term) -> ObjType:
 
 
 def free_term_vars(t: Term) -> frozenset[ObjVar]:
-    match t:
-        case Var(v):
-            return frozenset((v,))
-        case Const():
-            return frozenset()
-        case App(fun, arg):
-            return free_term_vars(fun) | free_term_vars(arg)
-        case Lam(bound, body):
-            return free_term_vars(body) - {bound}
-    raise ValueError(f"unexpected term {t!r}")
-
-
-def subst_term(t: Term, x: ObjVar, s: Term,
-               supply: NameSupply | None = None) -> Term:
-    """Replace free occurrences of ``x`` in ``t`` by ``s``, avoiding capture."""
-    if s.ty != x.ty:
-        raise TypeError(f"cannot substitute term of type {s.ty} for {x}")
-    if supply is None:
-        supply = NameSupply()
-    fv_s = free_term_vars(s)
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var(v):
-                return s if v == x else t
-            case Const():
-                return t
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Lam(bound, body):
-                if bound == x:
-                    return t
-                if bound in fv_s and x in free_term_vars(body):
-                    avoid = fv_s | free_term_vars(body) | {x}
-                    renamed = supply.fresh_avoiding(bound, avoid)
-                    body = subst_term(body, bound, Var(renamed), supply)
-                    return Lam(renamed, go(body))
-                return Lam(bound, go(body))
-        raise ValueError(f"unexpected term {t!r}")
-
-    return go(t)
-
-
-def canonical_term(t: Term, env: dict[ObjVar, int] | None = None,
-                   depth: int = 0):
-    """Nameless (de Bruijn level) form used for alpha-comparison."""
-    env = env or {}
-
-    def go(t: Term, env: dict[ObjVar, int], depth: int):
-        match t:
-            case Var(v):
-                if v in env:
-                    return ("bound", env[v])
-                return ("free", v.name, v.index, v.ty)
-            case Const(tag, params):
-                return ("const", tag, params)
-            case App(fun, arg):
-                return ("app", go(fun, env, depth), go(arg, env, depth))
-            case Lam(bound, body):
-                inner = dict(env)
-                inner[bound] = depth
-                return ("lam", bound.ty, go(body, inner, depth + 1))
-        raise ValueError(f"unexpected term {t!r}")
-
-    return go(t, env, depth)
-
-
-def alpha_eq(a: Term, b: Term) -> bool:
-    return canonical_term(a) == canonical_term(b)
+    return t.fv
 
 
 def max_var_index(t: Term) -> int:

@@ -1,12 +1,16 @@
 """Definition 3.5 classifiers and certificate synthesis."""
 
+import sys
+import time
+
 import pytest
 
-from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, GenConfig, Imp,
-                      NameSupply, ObjVar, TheoryId, TRUTH, TT, Var,
+from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
+                      Imp, NameSupply, ObjVar, TheoryId, TRUTH, TT, Var,
                       alpha_eq_formula, certify, classify, format_report,
                       formula_size, gen_formula, imp, in_Q, in_QF, neg,
-                      recheck, subst_bot_falsity, theory_leq)
+                      recheck, subst_bot_falsity, subst_formula_var,
+                      theory_leq)
 from minarith.errors import LanguageError
 from minarith.formula import All, And, Atom
 from minarith.syntax import BOOL, NAT
@@ -39,6 +43,47 @@ class TestQ:
         with pytest.raises(LanguageError):
             in_QF(Or(TRUTH, TRUTH))
 
+    def test_agrees_with_definition_by_instances(self):
+        def by_instances(a):
+            # The definition: forall x B is in Q when both instances are.
+            match a:
+                case Atom():
+                    return True
+                case Imp(p, c) | And(p, c):
+                    return by_instances(p) and by_instances(c)
+                case All(x, b) if x.ty == BOOL:
+                    return all(by_instances(subst_formula_var(b, x, c))
+                               for c in (TT, FF))
+            return False
+
+        members = 0
+        for lang in (TheoryId.MA, TheoryId.HA):
+            for seed in range(300):
+                a = gen_formula(GenConfig(seed=seed, max_size=12,
+                                          language=lang))
+                assert in_Q(a) == by_instances(a)
+                members += in_Q(a) and "bound=" in repr(a)  # quantified
+        assert members > 20
+
+    # forall x_i (bot -> A) over an atom, and forall x_i (x_i -> A) over
+    # bottom, whose goal flag needs both instances of every body.
+    @pytest.mark.parametrize("irrelevant_bodies", [True, False])
+    def test_nested_bool_quantifiers_are_linear(self, irrelevant_bodies):
+        a = Atom(Var(ObjVar("x", 0, BOOL))) if irrelevant_bodies else BOT
+        for i in range(40):
+            x = ObjVar("x", i, BOOL)
+            a = All(x, Imp(BOT if irrelevant_bodies else Atom(Var(x)), a))
+        start = time.process_time()
+        report = classify(a)
+        assert time.process_time() - start < 1.0
+        assert report.in_QF and not report.in_Q and report.in_G
+        start = time.process_time()
+        cert = certify(a, ClassId.GOAL)
+        assert time.process_time() - start < 1.0
+        assert alpha_eq_formula(
+            cert.conclusion,
+            Imp(a, Imp(Imp(subst_bot_falsity(a), BOT), BOT)))
+
 
 class TestClassification:
     def test_bot_flags(self):
@@ -62,6 +107,12 @@ class TestClassification:
             assert not r.in_R or r.in_D
             assert not r.in_I or r.in_G
             assert r.in_QF == in_Q(subst_bot_falsity(a))
+
+    def test_classify_keeps_no_reference(self):
+        a = gen_formula(GenConfig(seed=7, max_size=12, language=TheoryId.MA))
+        before = sys.getrefcount(a)
+        classify(a)
+        assert sys.getrefcount(a) == before
 
     def test_remark_boundary_not_definite(self):
         st, _, _ = remark_st_formula()

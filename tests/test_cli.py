@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from minarith import (All, BOT, ClassId, Imp, NAT, NameSupply, ObjVar,
-                      TheoryId, TRUTH, ZERO, all_intro, alpha_eq_formula,
-                      and_intro, assume, axiom, certify, fresh_assumption,
-                      gg_translate, imp_elim, all_elim, imp_intros,
-                      parse_formula, parse_proof, print_proof, Truth)
+from minarith import (All, Atom, BOOL, BOT, ClassId, Imp, NAT, NameSupply,
+                      ObjVar, TheoryId, TRUTH, Var, ZERO, all_intro,
+                      alpha_eq_formula, and_intro, assume, axiom, certify,
+                      fresh_assumption, gg_translate, imp_elim, all_elim,
+                      imp_intros, parse_formula, parse_proof, print_formula,
+                      print_proof, Truth)
 from minarith.cli import main
 
 from conftest import load_manifest
@@ -122,6 +123,24 @@ def test_doubling_chain_exits_2_quickly(argv, tmp_path, capsys):
     assert time.process_time() - start < 1.0
     assert code == 2
     assert err.startswith("parse-error")
+
+
+# forall x_i (bot -> A) over an atom, and forall x_i (x_i -> A) over bottom,
+# whose goal flag needs both instances of every body.
+@pytest.mark.parametrize("irrelevant_bodies", [True, False])
+def test_classify_nested_bool_quantifiers_quickly(irrelevant_bodies,
+                                                  tmp_path, capsys):
+    a = Atom(Var(ObjVar("x", 0, BOOL))) if irrelevant_bodies else BOT
+    for i in range(40):
+        x = ObjVar("x", i, BOOL)
+        a = All(x, Imp(BOT if irrelevant_bodies else Atom(Var(x)), a))
+    src = tmp_path / "f.fml"
+    src.write_text(print_formula(a), encoding="utf-8")
+    start = time.process_time()
+    code, out, _ = run(capsys, "classify", str(src))
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert "Q=no" in out and "QF=yes" in out and "G=yes" in out
 
 
 # 660 bytes that, written out, are a tree with 2^39 leaves.

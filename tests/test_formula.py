@@ -1,14 +1,18 @@
 """Formula language membership, substitutions, and the negative translation."""
 
+import itertools
+import random
+
 import pytest
 
-from minarith import (BOOL, BOT, FALSITY, NAT, TRUTH, All, And, Atom, Bot,
-                      Const, Ex, GenConfig, Imp, NameSupply, ObjVar, Or,
-                      TheoryId, TT, Var, alpha_eq_formula, formula_free_vars,
-                      formula_size, gen_formula, gg_translate, imp,
-                      in_language, min_language, neg, subst_bot,
-                      subst_bot_falsity, subst_formula_var, theory_join,
-                      theory_leq, weak_and, weak_exists, weak_or)
+from minarith import (BOOL, BOT, FALSITY, FF, NAT, TRUTH, All, And, App,
+                      Atom, Bot, Const, Ex, GenConfig, Imp, Lam, NameSupply,
+                      ObjVar, Or, TheoryId, TT, Var, alpha_eq,
+                      alpha_eq_formula, formula_free_vars, formula_size,
+                      gen_formula, gg_translate, imp, in_language,
+                      min_language, neg, subst, subst_bot, subst_bot_falsity,
+                      subst_formula_var, theory_join, theory_leq, weak_and,
+                      weak_exists, weak_or)
 from minarith.errors import LanguageError, TheoryError
 
 x_bool = ObjVar("x", 0, BOOL)
@@ -162,3 +166,144 @@ def test_formula_size():
     assert formula_size(BOT) == 1
     assert formula_size(imp(TRUTH, TRUTH, TRUTH)) == 5
     assert formula_size(All(n_nat, And(TRUTH, FALSITY))) == 4
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the per-node facts and for ``subst``, sharing no code with them
+
+POOL = [ObjVar(name, 0, BOOL) for name in "xyz"]
+CASES = Const("cases", (BOOL,))
+
+
+def random_term(rng, size):
+    """A boolean term over the variables of POOL, lambdas included."""
+    if size <= 1:
+        return rng.choice([TT, FF] + [Var(v) for v in POOL])
+    if rng.random() < 0.3:
+        x = rng.choice(POOL)
+        return App(Lam(x, random_term(rng, size - 2)), random_term(rng, 1))
+    parts = [random_term(rng, size // 3) for _ in range(3)]
+    return App(App(App(CASES, parts[0]), parts[1]), parts[2])
+
+
+def random_formula(rng, size):
+    """Any connective, binders over POOL, so that capture is frequent."""
+    if size <= 1:
+        return BOT if rng.random() < 0.2 else Atom(random_term(rng, 3))
+    kind = rng.choice([Imp, And, Or, All, Ex])
+    if kind in (All, Ex):
+        return kind(rng.choice(POOL), random_formula(rng, size - 1))
+    return kind(random_formula(rng, size // 2), random_formula(rng, size // 2))
+
+
+def naive_kinds(a):
+    """The node classes occurring in ``a``, terms left out."""
+    match a:
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return {type(a)} | naive_kinds(l) | naive_kinds(r)
+        case All(_, b) | Ex(_, b):
+            return {type(a)} | naive_kinds(b)
+    return {type(a)}
+
+
+def naive_fv(a):
+    match a:
+        case Var(v):
+            return {v}
+        case Const() | Bot():
+            return set()
+        case Atom(t):
+            return naive_fv(t)
+        case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+            return naive_fv(l) | naive_fv(r)
+        case Lam(x, b) | All(x, b) | Ex(x, b):
+            return naive_fv(b) - {x}
+
+
+def naive_subst(a, sigma, bot, fresh):
+    """Tree substitution that renames every binder to a fresh variable."""
+    match a:
+        case Var(v):
+            return sigma.get(v, a)
+        case Const():
+            return a
+        case Bot():
+            return a if bot is None else bot
+        case Atom(t):
+            return Atom(naive_subst(t, sigma, bot, fresh))
+        case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+            return type(a)(naive_subst(l, sigma, bot, fresh),
+                           naive_subst(r, sigma, bot, fresh))
+        case Lam(x, b) | All(x, b) | Ex(x, b):
+            y = ObjVar(x.name, next(fresh), x.ty)
+            inner = {**sigma, x: Var(y)}
+            return type(a)(y, naive_subst(b, inner, bot, fresh))
+
+
+class TestNodeFacts:
+    def test_facts_agree_with_recursion(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            a = random_formula(rng, rng.randint(1, 14))
+            kinds = naive_kinds(a)
+            assert a.fv == naive_fv(a)
+            assert a.has_bot == (Bot in kinds)
+            assert a.has_strong == bool(kinds & {Or, Ex})
+
+    def test_facts_left_out_of_eq_hash_repr(self):
+        a = All(POOL[0], Imp(Atom(Var(POOL[0])), BOT))
+        assert "fv" not in repr(a) and "has_bot" not in repr(a)
+        b = All(POOL[0], Imp(Atom(Var(POOL[0])), BOT))
+        assert a == b and hash(a) == hash(b) and a is not b
+
+
+class TestSubstOracle:
+    def test_agrees_with_naive_substitution(self):
+        rng = random.Random(2)
+        fresh = itertools.count(1000)
+        captures = 0
+        for _ in range(400):
+            a = random_formula(rng, rng.randint(1, 14))
+            keys = rng.sample(POOL, rng.randint(0, 2))
+            sigma = {v: random_term(rng, 4) for v in keys}
+            bot = rng.choice([None, BOT, Atom(Var(rng.choice(POOL))),
+                              random_formula(rng, 3)])
+            supply = NameSupply(500)
+            got = subst(a, sigma, bot, supply)
+            want = naive_subst(a, sigma, bot, fresh)
+            assert alpha_eq_formula(got, want)
+            assert got.fv == naive_fv(want)
+            captures += supply.next_index > 500  # a binder was renamed
+        assert captures > 20
+
+    def test_terms_agree_with_naive_substitution(self):
+        rng = random.Random(3)
+        fresh = itertools.count(1000)
+        for _ in range(300):
+            t = random_term(rng, rng.randint(1, 12))
+            sigma = {v: random_term(rng, 4) for v in rng.sample(POOL, 2)}
+            got = subst(t, sigma, supply=NameSupply(500))
+            assert alpha_eq(got, naive_subst(t, sigma, None, fresh))
+
+    def test_untouched_node_comes_back_as_is(self):
+        x, y, _ = POOL
+        closed = All(y, Imp(Atom(Var(y)), BOT))
+        a = And(closed, Atom(Var(x)))
+        out = subst(a, {x: TT})
+        assert out.left is closed
+        assert subst(a, {y: TT}) is a
+        assert subst(closed, {}, FALSITY).body.concl is FALSITY
+
+    def test_shared_node_rebuilt_once(self):
+        # 40 levels of And(a, Imp(a, bot)): 2^40 atoms written out, two new
+        # nodes a level in memory.
+        x = POOL[0]
+        a = Atom(Var(x))
+        for _ in range(40):
+            a = And(a, Imp(a, BOT))
+        out = subst(a, {x: TT}, FALSITY)
+        for _ in range(40):
+            assert out.left is out.right.prem
+            assert out.right.concl is FALSITY
+            out = out.left
+        assert out == Atom(TT)

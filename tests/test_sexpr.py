@@ -1,5 +1,6 @@
 """Round-trips and error reporting for the S-expression layer."""
 
+import time
 from hashlib import sha256
 
 import pytest
@@ -12,6 +13,7 @@ from minarith import (Arrow, BOOL, Const, GenConfig, Imp, NAT, NameSupply,
                       print_proof, print_term, print_type, prove_efq,
                       read_sexpr, recheck)
 from minarith.errors import ParseError
+from minarith.formula import written_size
 from minarith.syntax import App, Lam, ListType, Prod, TypeVar, Var
 
 from conftest import load_manifest
@@ -194,18 +196,32 @@ class TestSharedForm:
             "a8bc82dfc54641f490668adb424e33fcf872c9de719ead7ab8d224dd995e38ae"
 
     def test_conclusion_bound_applies_to_labelled_text_only(self):
-        # Each level instantiates x with a term that mentions x three times,
-        # so the conclusion grows as 3^k while the text grows linearly: at
-        # k = 10, 354,293 nodes from 565 tokens.  Tree-form text builds it;
-        # with a label the same text is held to 565^2 nodes.
-        x = "(var x 0 (bool))"
-        t = f"(app (app (app (cases (bool)) {x}) {x}) {x})"
-        text = f"(lam-pf (assume u 0 (atom {x})) (assume u 0 (atom {x})))"
-        for _ in range(10):
-            text = f"(inst (gen {x} {text}) {t})"
+        # At k = 10, 354,293 nodes from 565 tokens.  Tree-form text builds
+        # it; with a label the same text is held to 565^2 nodes.
+        text = inst_chain(10)
         parse_proof(text, TheoryId.NA)
         with pytest.raises(ParseError, match="conclusion"):
             parse_proof("#0=" + text, TheoryId.NA)
+
+    def test_tree_form_inst_chain_builds_shared_conclusion(self):
+        # Substitution shares what it inserts, so the conclusion is built
+        # and rebuilt in memory linear in k, although written out it has
+        # more than 3^40 nodes.
+        start = time.process_time()
+        q = recheck(parse_proof(inst_chain(40), TheoryId.NA))
+        assert time.process_time() - start < 1.0
+        assert written_size(q.conclusion, {}) > 3 ** 40
+
+
+def inst_chain(k: int) -> str:
+    # Each level instantiates x with a term that mentions x three times, so
+    # the conclusion grows as 3^k while the text grows linearly.
+    x = "(var x 0 (bool))"
+    t = f"(app (app (app (cases (bool)) {x}) {x}) {x})"
+    text = f"(lam-pf (assume u 0 (atom {x})) (assume u 0 (atom {x})))"
+    for _ in range(k):
+        text = f"(inst (gen {x} {text}) {t})"
+    return text
 
 
 def axiom_chain(k: int) -> str:

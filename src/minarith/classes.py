@@ -91,14 +91,14 @@ def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
     """(definite, goal, relevant, irrelevant) per the mutual recursion.
 
     ``memo`` lives for one ``classify`` or ``certify`` call and is keyed on
-    node identity.  It matters at Bool quantifiers, whose goal flag needs
+    the node.  It matters at Bool quantifiers, whose goal flag needs
     both instances of the body: an instance shares the untouched
     subformulas of the body, so each is classified once rather than once
     per enclosing quantifier.
     """
-    hit = memo.get(id(a))
+    hit = memo.get(a)
     if hit is not None:
-        return hit[1]
+        return hit
     match a:
         case Bot():
             out = (True, True, True, False)
@@ -125,7 +125,7 @@ def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
             out = (bd or br, g, br, bi)
         case _:
             raise ValueError(f"unexpected formula {a!r}")
-    memo[id(a)] = (a, out)  # holding a keeps its id from being reused
+    memo[a] = out
     return out
 
 
@@ -165,7 +165,7 @@ def certify(a: Formula, c: ClassId,
                                       TheoryId.MA, supply)
     index = {ClassId.DEFINITE: 0, ClassId.GOAL: 1, ClassId.RELEVANT: 2,
              ClassId.IRRELEVANT: 3}[c]
-    # certificates under (formula, class), flags under id(formula)
+    # certificates under (formula, class), flags under the formula
     memo: dict = {}
     if not _flags(a, memo)[index]:
         return None

@@ -5,10 +5,10 @@ theory's language a formula belongs to.  ``NA`` has atoms, implication,
 conjunction, and universal quantification.  ``MA`` adds the propositional
 symbol bottom, ``HA``/``PA`` instead add strong disjunction and existence.
 
-Like terms, formulas carry facts set at construction: their free variables
-``fv``, whether they contain bottom (``has_bot``) or strong disjunction or
-existence (``has_strong``), and a hash kept after first use.  ``subst`` is
-the one substitution over terms and formulas.
+Like terms, formulas are interned and carry facts set at construction:
+their free variables ``fv``, and whether they contain bottom (``has_bot``)
+or strong disjunction or existence (``has_strong``).  ``subst`` is the one
+substitution over terms and formulas.
 """
 
 from __future__ import annotations
@@ -18,23 +18,25 @@ from dataclasses import dataclass, field
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Lam, NameSupply,
-                     ObjVar, Term, Var, bind, node, union)
+                     Node, ObjVar, Term, Var, bind, node, union)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Formula:
+class Formula(Node):
     """Base class of the closed set of formula variants."""
 
-    fv: frozenset[ObjVar] = field(init=False, compare=False, repr=False)
-    has_bot: bool = field(init=False, compare=False, repr=False)
-    has_strong: bool = field(init=False, compare=False, repr=False)
-    _hash: int | None = field(init=False, compare=False, repr=False,
-                              default=None)
+    fv: frozenset[ObjVar] = field(init=False, repr=False)
+    has_bot: bool = field(init=False, repr=False)
+    has_strong: bool = field(init=False, repr=False)
 
     def _facts(self, fv, has_bot, has_strong):
         object.__setattr__(self, "fv", fv)
         object.__setattr__(self, "has_bot", has_bot)
         object.__setattr__(self, "has_strong", has_strong)
+
+    def _join(self, l, r, strong=False):
+        self._facts(union(l.fv, r.fv), l.has_bot or r.has_bot,
+                    strong or l.has_strong or r.has_strong)
 
 
 @node
@@ -59,9 +61,7 @@ class Imp(Formula):
     concl: Formula
 
     def __post_init__(self):
-        p, c = self.prem, self.concl
-        self._facts(union(p.fv, c.fv), p.has_bot or c.has_bot,
-                    p.has_strong or c.has_strong)
+        self._join(self.prem, self.concl)
 
 
 @node
@@ -70,9 +70,7 @@ class And(Formula):
     right: Formula
 
     def __post_init__(self):
-        l, r = self.left, self.right
-        self._facts(union(l.fv, r.fv), l.has_bot or r.has_bot,
-                    l.has_strong or r.has_strong)
+        self._join(self.left, self.right)
 
 
 @node
@@ -91,8 +89,7 @@ class Or(Formula):
     right: Formula
 
     def __post_init__(self):
-        l, r = self.left, self.right
-        self._facts(union(l.fv, r.fv), l.has_bot or r.has_bot, True)
+        self._join(self.left, self.right, strong=True)
 
 
 @node
@@ -101,8 +98,7 @@ class Ex(Formula):
     body: Formula
 
     def __post_init__(self):
-        b = self.body
-        self._facts(bind(self.bound, b.fv), b.has_bot, True)
+        self._facts(bind(self.bound, self.body.fv), self.body.has_bot, True)
 
 
 BOT = Bot()
@@ -210,7 +206,7 @@ def canonical_formula(a: Formula | Term):
 
 def alpha_eq(a: Formula | Term, b: Formula | Term) -> bool:
     """Equality of two formulas, or two terms, up to bound variable names."""
-    return a is b or a == b or canonical_formula(a) == canonical_formula(b)
+    return a is b or canonical_formula(a) == canonical_formula(b)
 
 
 alpha_eq_formula = alpha_eq
@@ -319,36 +315,21 @@ def gg_translate(a: Formula) -> Formula:
 
 def formula_size(a: Formula) -> int:
     """Number of formula nodes; atoms and bottom count one."""
-    match a:
-        case Bot() | Atom():
-            return 1
-        case Imp(p, c):
-            return 1 + formula_size(p) + formula_size(c)
-        case And(l, r) | Or(l, r):
-            return 1 + formula_size(l) + formula_size(r)
-        case All(_, b) | Ex(_, b):
-            return 1 + formula_size(b)
-    raise ValueError(f"unexpected formula {a!r}")
+    n = 1
+    for b in a.children:
+        if isinstance(b, Formula):
+            n += formula_size(b)
+    return n
 
 
-def written_size(a: Formula | Term, sizes: dict[int, int]) -> int:
+def written_size(a: Formula | Term, sizes: dict) -> int:
     """Nodes of a formula or term written out as a tree, terms included.
 
-    ``sizes`` memoizes by node identity, so a node shared in a DAG is
-    measured once; it must not outlive the nodes it measured.
+    ``sizes`` memoizes by node, so a node shared in a DAG is measured once.
     """
-    n = sizes.get(id(a))
+    n = sizes.get(a)
     if n is None:
-        match a:
-            case Atom(t):
-                below = (t,)
-            case Imp(l, r) | And(l, r) | Or(l, r) | App(l, r):
-                below = (l, r)
-            case All(_, b) | Ex(_, b) | Lam(_, b):
-                below = (b,)
-            case _:
-                below = ()
-        n = sizes[id(a)] = 1 + sum(written_size(b, sizes) for b in below)
+        n = sizes[a] = 1 + sum(written_size(b, sizes) for b in a.children)
     return n
 
 

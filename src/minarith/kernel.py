@@ -16,7 +16,7 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       Or, TheoryId, alpha_eq_formula, brief_repr, imp,
                       min_language, neg, subst, theory_join, theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, ObjVar, Term, Var, app)
+                     NameSupply, ObjVar, Term, Var, app, bind, union)
 
 
 @dataclass(frozen=True)
@@ -228,16 +228,17 @@ def inspect(m: Proof) -> Judgement:
     )
 
 
-def _merge_assumptions(*sets: frozenset[AssumptionVar]) -> frozenset[AssumptionVar]:
-    merged = frozenset().union(*sets)
-    seen: dict[tuple[str, int], AssumptionVar] = {}
-    for u in merged:
-        key = (u.name, u.index)
-        if key in seen and seen[key] != u:
-            raise ShapeError(
-                f"assumption variable {u.name}_{u.index} reused at a "
-                "different formula")
-        seen[key] = u
+def _merge_assumptions(a: frozenset, b: frozenset) -> frozenset:
+    merged = union(a, b)
+    # Kernel-built sets are clash-free, so a side that contains the other,
+    # which union returns as it is, needs no scan.
+    if merged is not a and merged is not b:
+        seen: dict[tuple[str, int], AssumptionVar] = {}
+        for u in merged:
+            if seen.setdefault((u.name, u.index), u) != u:
+                raise ShapeError(
+                    f"assumption variable {u.name}_{u.index} reused at a "
+                    "different formula")
     return merged
 
 
@@ -299,7 +300,7 @@ def imp_elims(m: Proof, *args: Proof) -> Proof:
 
 
 def imp_intro(u: AssumptionVar, m: Proof) -> Proof:
-    free = frozenset(v for v in m.free_assumptions if v != u)
+    free = bind(u, m.free_assumptions)  # the same set if u is not in it
     min_theory = theory_join(m.min_theory, min_language(u.formula))
     return Proof(_TOKEN, "imp_intro", (m,), (u,), Imp(u.formula, m.conclusion),
                  free, min_theory)

@@ -369,9 +369,7 @@ def proof_from_tree(form, th: TheoryId, supply: NameSupply | None = None,
     if supply is None:
         supply = NameSupply()
     early = {}  # arguments read on the way down, by id of their form
-    # Written-out size of each formula and term node met, by id; they are
-    # parts of conclusions, which live as long as the walk.
-    sizes: dict[int, int] = {}
+    sizes = {}  # written-out size of each formula and term node met
 
     def children(form) -> list:
         form = _expect_list(form, "proof")

@@ -2,14 +2,15 @@
 
 Terms are immutable and well-typed by construction: ``App`` rejects argument
 type mismatches with ``TypeError`` at creation time, so ``type_of`` is total.
-Every term carries its free variables, set at construction from its
-children's, and a hash computed on first use (see ``node``).  Substitution
+Terms are interned: equal terms are one object (see ``node``).  Each carries
+its free variables, set at construction from its children's.  Substitution
 and alpha-equality walk terms and formulas together, in ``formula``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import ref
 
 
 # ---------------------------------------------------------------------------
@@ -115,37 +116,75 @@ class NameSupply:
 NO_VARS: frozenset[ObjVar] = frozenset()
 
 
-def node(cls):
-    """Frozen, slotted dataclass variant of a term or formula.
+class _Ref(ref):
+    # A weak reference to a node that knows the node's key in _NODES.
+    __slots__ = ("key",)
 
-    Its base class declares the facts kept per node (``fv`` and more) as
-    fields left out of ``==``, ``hash`` and ``repr``; the variant's
-    ``__post_init__`` sets them from its children's in O(1).  The hash is
-    computed on first use and kept, so hashing a DAG costs its size.
+
+# The hash-consing table: (variant, constructor arguments) -> weak reference
+# to the one live node with them.  Children in a key are interned nodes, so
+# the key compares them by identity; variables, types and tags compare by
+# value.  An entry goes when its node is freed.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(r: _Ref) -> None:
+    if _NODES.get(r.key) is r:  # not an entry made since r's node died
+        del _NODES[r.key]
+
+
+class Node:
+    """Base of terms and formulas, which ``node`` makes interned variants."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        # Copying and unpickling go through __new__, so they intern too.
+        return type(self), tuple(map(self.__getattribute__,
+                                     self.__match_args__))
+
+    @property
+    def children(self) -> list[Node]:
+        """The terms and formulas among the constructor arguments."""
+        return [c for c in self.__reduce__()[1] if isinstance(c, Node)]
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) < len(cls.__match_args__):
+            # Defaults and keywords: let the dataclass __init__ sort them.
+            n = object.__new__(cls)
+            cls._init(n, *args, **kwargs)
+            args = n.__reduce__()[1]
+        key = (cls, *args)
+        r = _NODES.get(key)
+        if r is None or (n := r()) is None:
+            n = object.__new__(cls)
+            cls._init(n, *args)
+            r = _NODES[key] = _Ref(n, _forget)
+            r.key = key
+        return n
+
+
+def node(cls):
+    """Frozen, slotted, interned dataclass variant of a term or formula.
+
+    Construction returns the live node with the same variant and arguments
+    if there is one, so ``==`` and ``hash`` are identity.  Otherwise
+    ``Node.__new__`` runs the dataclass ``__init__`` (kept as ``_init``),
+    whose ``__post_init__`` sets the facts declared by the base class.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = _node_hash
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._init, cls.__init__ = cls.__init__, object.__init__
     return cls
 
 
-def _node_hash(self) -> int:
-    h = self._hash
-    if h is None:
-        # __match_args__ names the init fields: exactly those == compares.
-        h = hash((type(self), *map(self.__getattribute__,
-                                   self.__match_args__)))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-def union(a: frozenset[ObjVar], b: frozenset[ObjVar]) -> frozenset[ObjVar]:
+def union(a: frozenset, b: frozenset) -> frozenset:
     """``a | b``, reusing ``a`` or ``b`` when one contains the other."""
     if b <= a:
         return a
     return b if a <= b else a | b
 
 
-def bind(x: ObjVar, fv: frozenset[ObjVar]) -> frozenset[ObjVar]:
+def bind(x, fv: frozenset) -> frozenset:
     """The free variables ``fv`` of a body, seen from outside a binder on ``x``."""
     return fv - {x} if x in fv else fv
 
@@ -171,12 +210,10 @@ _CONST_SPECS = {
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Term:
+class Term(Node):
     """Base class of the closed set of term variants."""
 
-    fv: frozenset[ObjVar] = field(init=False, compare=False, repr=False)
-    _hash: int | None = field(init=False, compare=False, repr=False,
-                              default=None)
+    fv: frozenset[ObjVar] = field(init=False, repr=False)
 
     @property
     def ty(self) -> ObjType:
@@ -199,7 +236,7 @@ class Var(Term):
 class Const(Term):
     tag: str
     params: tuple[ObjType, ...] = ()
-    _ty: ObjType = field(init=False, compare=False, repr=False)
+    _ty: ObjType = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fv", NO_VARS)
@@ -218,7 +255,7 @@ class Const(Term):
 class App(Term):
     fun: Term
     arg: Term
-    _ty: ObjType = field(init=False, compare=False, repr=False)
+    _ty: ObjType = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fv", union(self.fun.fv, self.arg.fv))

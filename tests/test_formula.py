@@ -1,7 +1,10 @@
 """Formula language membership, substitutions, and the negative translation."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -10,9 +13,10 @@ from minarith import (BOOL, BOT, FALSITY, FF, NAT, TRUTH, All, And, App,
                       ObjVar, Or, TheoryId, TT, Var, alpha_eq,
                       alpha_eq_formula, formula_free_vars, formula_size,
                       gen_formula, gg_translate, imp, in_language,
-                      min_language, neg, subst, subst_bot, subst_bot_falsity,
-                      subst_formula_var, theory_join, theory_leq, weak_and,
-                      weak_exists, weak_or)
+                      min_language, neg, print_formula, subst, subst_bot,
+                      subst_bot_falsity, subst_formula_var, theory_join,
+                      theory_leq, weak_and, weak_exists, weak_or)
+from minarith import syntax
 from minarith.errors import LanguageError, TheoryError
 
 x_bool = ObjVar("x", 0, BOOL)
@@ -254,7 +258,53 @@ class TestNodeFacts:
         a = All(POOL[0], Imp(Atom(Var(POOL[0])), BOT))
         assert "fv" not in repr(a) and "has_bot" not in repr(a)
         b = All(POOL[0], Imp(Atom(Var(POOL[0])), BOT))
-        assert a == b and hash(a) == hash(b) and a is not b
+        assert a == b and hash(a) == hash(b) and a is b
+
+
+def imp_chain(n: int, atom: Atom = TRUTH) -> Imp:
+    """Right-nested implication ``atom -> ... -> atom`` of ``n`` atoms."""
+    a = atom
+    for _ in range(n - 1):
+        a = Imp(atom, a)
+    return a
+
+
+class TestInterning:
+    def test_default_arguments_normalised(self):
+        assert Const("tt") is Const("tt", ()) is Const(tag="tt") is TT
+
+    def test_deep_chain_is_one_object_hashes_and_frees(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        a, b = imp_chain(100_000), imp_chain(100_000)
+        assert a is b and a == b
+        assert {a: 1}[b] == 1
+        del a, b
+        assert unraisable == []
+
+    def test_copies_are_the_node(self):
+        x = Var(POOL[0])
+        a = All(POOL[0], Imp(Atom(x), Atom(App(App(App(CASES, x), TT), FF))))
+        for f in (copy.copy, copy.deepcopy,
+                  lambda a: pickle.loads(pickle.dumps(a))):
+            assert f(a) is a
+
+    def test_table_is_weak(self):
+        before = len(syntax._NODES)
+        a = imp_chain(10_001, FALSITY)
+        assert len(syntax._NODES) >= before + 10_000
+        del a
+        assert len(syntax._NODES) == before
+
+    def test_renamed_twins_stay_distinct(self):
+        x, y = ObjVar("x", 0, BOOL), ObjVar("y", 0, BOOL)
+        a = All(x, Imp(Atom(Var(x)), BOT))
+        b = All(y, Imp(Atom(Var(y)), BOT))
+        assert a is not b and a != b and alpha_eq(a, b)
+        assert print_formula(a) == \
+            "(all (var x 0 (bool)) (imp (atom (var x 0 (bool))) (bot)))"
+        assert print_formula(b) == \
+            "(all (var y 0 (bool)) (imp (atom (var y 0 (bool))) (bot)))"
 
 
 class TestSubstOracle:

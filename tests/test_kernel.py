@@ -2,11 +2,11 @@
 
 import pytest
 
-from minarith import (BOT, BoolCases, BotPlus, Imp, Lem, NameSupply, ObjVar,
-                      OrIntroL, Proof, TheoryId, TRUTH, Truth, alpha_eq_formula,
-                      all_elim, and_intro, assume, axiom, axiom_schema, build,
-                      fresh_assumption, imp_elim, imp_intro, inspect,
-                      parse_formula, recheck)
+from minarith import (BOT, AssumptionVar, BoolCases, BotPlus, Imp, Lem,
+                      NameSupply, ObjVar, OrIntroL, Proof, TheoryId, TRUTH,
+                      Truth, alpha_eq_formula, all_elim, and_intro, assume,
+                      axiom, axiom_schema, build, fresh_assumption, imp_elim,
+                      imp_intro, inspect, parse_formula, recheck)
 from minarith.errors import (EigenvariableError, ShapeError, TheoryError)
 from minarith.formula import FALSITY, Atom, BOOL
 from minarith.syntax import Var
@@ -75,6 +75,33 @@ class TestConstruction:
         p = imp_intro(u, assume(u))
         assert not p.free_assumptions
         assert p.conclusion == Imp(TRUTH, TRUTH)
+
+    def test_discharge_of_absent_assumption_keeps_the_set(self):
+        sp = NameSupply()
+        u = fresh_assumption("u", TRUTH, sp)
+        v = fresh_assumption("v", FALSITY, sp)
+        m = assume(u)
+        assert imp_intro(v, m).free_assumptions is m.free_assumptions
+
+    def test_merge_keeps_a_side_containing_the_other(self):
+        sp = NameSupply()
+        u = fresh_assumption("u", TRUTH, sp)
+        v = fresh_assumption("v", FALSITY, sp)
+        m = and_intro(assume(u), assume(v))
+        for n in (assume(u), axiom(Truth(), TheoryId.NA), m):
+            assert and_intro(m, n).free_assumptions is m.free_assumptions
+            assert and_intro(n, m).free_assumptions is m.free_assumptions
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_assumption_clash_refused_in_either_order(self, swap):
+        u = AssumptionVar("u", 0, TRUTH)
+        clash = AssumptionVar("u", 0, FALSITY)
+        v = AssumptionVar("v", 1, TRUTH)
+        m, n = and_intro(assume(u), assume(v)), assume(clash)
+        if swap:
+            m, n = n, m
+        with pytest.raises(ShapeError, match="u_0 reused"):
+            and_intro(m, n)
 
     def test_vacuous_discharge(self):
         sp = NameSupply()

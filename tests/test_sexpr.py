@@ -212,6 +212,16 @@ class TestSharedForm:
         assert time.process_time() - start < 1.0
         assert written_size(q.conclusion, {}) > 3 ** 40
 
+    def test_separate_parses_give_one_conclusion(self):
+        # Written out, each conclusion has 3^12 atoms; interned, the two
+        # parses build the same object, so == does not walk them.
+        a = parse_proof(inst_chain(12), TheoryId.NA).conclusion
+        b = parse_proof(inst_chain(12), TheoryId.NA).conclusion
+        start = time.perf_counter()
+        assert a == b
+        assert time.perf_counter() - start < 1e-3
+        assert a is b
+
 
 def inst_chain(k: int) -> str:
     # Each level instantiates x with a term that mentions x three times, so

@@ -258,8 +258,8 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
     if c == ClassId.GOAL:
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
-        efq_qf = prove_efq(qf, _MA, supply)
         if pr and qg:
+            efq_qf = prove_efq(qf, _MA, supply)
             ih_p = _cert(p, ClassId.RELEVANT, supply, memo)
             ih_q = _cert(q, ClassId.GOAL, supply, memo)
             nb = fresh_assumption("nb", neg(pf), supply)
@@ -278,6 +278,7 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
                             qf_bot)
             return imp_intro(u, imp_intro(v, body))
         if pd and in_QF(p) and qg:
+            efq_qf = prove_efq(qf, _MA, supply)
             ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
             ih_q = _cert(q, ClassId.GOAL, supply, memo)
             cd = prove_case_distinction(pf, BOT, _MA, supply)

@@ -23,7 +23,7 @@ from .errors import (CertificateError, ClassError, EigenvariableError,
 from .formula import TheoryId, gg_translate, in_language, theory_leq
 from .kernel import inspect
 from .search import Derivable, Unknown, bounded_derivable
-from .sexpr import (_print_assumption, parse_formula, parse_proof,
+from .sexpr import (parse_formula, parse_proof, print_form,
                     print_formula, print_proof)
 from .syntax import NameSupply
 
@@ -69,7 +69,7 @@ def _cmd_check(args) -> str:
         raise TheoryError(
             f"proof needs {proof.min_theory.value}, requested {args.theory}")
     j = inspect(proof)
-    lines = [_print_assumption(u) for u, _ in
+    lines = [print_form(u) for u, _ in
              sorted(j.assumptions, key=lambda p: (p[0].name, p[0].index))]
     lines.append(f"{args.theory} ⊢ {print_formula(j.conclusion)}")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ from .formula import (BOT, FALSITY, All, And, Atom, Bot, Ex, Formula,
 from .kernel import (BotPlus, ExIntro, Lem, OrIntroL, OrIntroR,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, fresh_assumption, imp_elim, imp_intro, proj)
-from .syntax import (BOOL, FF, NAT, TT, ZERO, App, Lam, NameSupply,
+from .syntax import (BOOL, FF, NAT, TT, ZERO, NameSupply,
                      ObjType, ObjVar, Term, Var)
 
 
@@ -46,37 +46,14 @@ class Unknown(SearchVerdict):
 # Term pool
 
 
-def _subterms(t: Term, acc: set[Term]) -> None:
-    acc.add(t)
-    match t:
-        case App(fun, arg):
-            _subterms(fun, acc)
-            _subterms(arg, acc)
-        case Lam(_, body):
-            _subterms(body, acc)
-        case _:
-            pass
-
-
 def _term_pool(a: Formula) -> tuple[Term, ...]:
     acc: set[Term] = {TT, FF, ZERO}
-
-    def walk(f: Formula) -> None:
-        match f:
-            case Atom(t):
-                _subterms(t, acc)
-            case Imp(p, c):
-                walk(p)
-                walk(c)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-            case All(_, b) | Ex(_, b):
-                walk(b)
-            case Bot():
-                pass
-
-    walk(a)
+    stack = [a]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Term):
+            acc.add(n)
+        stack += n.children
     return tuple(sorted(acc, key=repr))
 
 

@@ -1,8 +1,14 @@
 """S-expression reading and printing for types, terms, formulas, and proofs.
 
-One grammar shared between the test fixtures and the CLI.  Parsing a proof
-goes straight through the kernel constructors, so a proof that parses has
-already been checked.
+One grammar, shared between the test fixtures and the CLI, is declared once.
+``_GRAMMAR`` maps each head symbol of a type, variable, term, formula, axiom
+or assumption to the class its form builds, whose fields give the arguments;
+one reader (``_from_tree``) and one printer (``_write``) serve all of them.
+``_PROOF_FORMS`` declares the proof forms, which ``proof_from_tree`` reads
+and ``print_proof`` writes.  Parsing a proof goes straight through the
+kernel constructors, so a proof that parses has already been checked.  The
+printer memoizes on identity for one call, so a proof writes out the text
+of each distinct formula, term and type once, however often it is used.
 
 A proof form may carry a label in the style of the Common Lisp reader
 (CLHS 2.4.8.15-16): ``#n=(form)`` defines label n and a later ``#n#``
@@ -15,11 +21,11 @@ import re
 from dataclasses import fields
 
 from .errors import ParseError
-from .formula import (BOT, All, And, Atom, Bot, Ex, Formula, Imp, Or,
-                      TheoryId, written_size)
-from .kernel import (AssumptionVar, AxiomId, BoolCases, BotPlus, ExElim,
-                     ExIntro, IndList, IndNat, Lem, OrElim, OrIntroL,
-                     OrIntroR, Proof, Truth, assume, axiom, build, map_proof)
+from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
+                      written_size)
+from .kernel import (AssumptionVar, BoolCases, BotPlus, ExElim, ExIntro,
+                     IndList, IndNat, Lem, OrElim, OrIntroL, OrIntroR, Proof,
+                     Truth, assume, axiom, build, map_proof)
 from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
                      NatType, ObjType, ObjVar, Prod, Term, TypeVar, Var,
                      _CONST_SPECS)
@@ -115,247 +121,167 @@ def _show(form, limit: int = 60) -> str:
 
 def _expect_list(form, what: str) -> list:
     if not isinstance(form, list) or not form:
-        raise ParseError(f"expected a {what} form, got {_show(form)}")
+        raise ParseError(f"{what} form expected, got {_show(form)}")
     return form
 
 
-def _int(tok, what: str) -> int:
-    try:
-        return int(tok)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"expected an integer {what}, got {_show(tok)}") from None
-
-
 # ---------------------------------------------------------------------------
-# Types
+# Types, variables, terms, formulas, axioms and assumptions
 
 
-def type_from_tree(form) -> ObjType:
-    form = _expect_list(form, "type")
-    match form:
-        case ["bool"]:
-            return BoolType()
-        case ["nat"]:
-            return NatType()
-        case ["tvar", name] if isinstance(name, str):
-            return TypeVar(name)
-        case ["list", t]:
-            return ListType(type_from_tree(t))
-        case ["arrow", t, r]:
-            return Arrow(type_from_tree(t), type_from_tree(r))
-        case ["prod", t, r]:
-            return Prod(type_from_tree(t), type_from_tree(r))
-    raise ParseError(f"unrecognized type form {_show(form)}")
+# The grammar: each category's head symbols and the class each one builds.
+# A form is its head, then one argument per constructor field in order,
+# read and written by the field's declared type: a symbol for ``str``, an
+# integer for ``int``, a form of the category for the others.  Two
+# exceptions: a constant's head is its tag, followed by its type parameters
+# (``_CONST_SPECS`` gives the tags and their numbers), and a term variable
+# is written as its ``ObjVar``.
+_GRAMMAR = {
+    "type": {"bool": BoolType, "nat": NatType, "tvar": TypeVar,
+             "list": ListType, "arrow": Arrow, "prod": Prod},
+    "variable": {"var": ObjVar},
+    "term": {"app": App, "lam": Lam},
+    "formula": {"bot": Bot, "atom": Atom, "imp": Imp, "and": And, "or": Or,
+                "all": All, "ex": Ex},
+    "axiom": {"axiom truth": Truth, "axiom boolcases": BoolCases,
+              "axiom indnat": IndNat, "axiom indlist": IndList,
+              "axiom botplus": BotPlus, "axiom or-intro-l": OrIntroL,
+              "axiom or-intro-r": OrIntroR, "axiom or-elim": OrElim,
+              "axiom ex-intro": ExIntro, "axiom ex-elim": ExElim,
+              "axiom lem": Lem},
+    "assumption": {"assume": AssumptionVar},
+}
+_CATEGORIES = {"ObjType": "type", "ObjVar": "variable", "Term": "term",
+               "Formula": "formula"}  # by declared field type
 
 
-def print_type(ty: ObjType) -> str:
-    match ty:
-        case BoolType():
-            return "(bool)"
-        case NatType():
-            return "(nat)"
-        case TypeVar(name):
-            return f"(tvar {name})"
-        case ListType(t):
-            return f"(list {print_type(t)})"
-        case Arrow(t, r):
-            return f"(arrow {print_type(t)} {print_type(r)})"
-        case Prod(t, r):
-            return f"(prod {print_type(t)} {print_type(r)})"
-    raise ValueError(f"unexpected type {ty!r}")
+def _kinds(cls) -> tuple[str, ...]:
+    types = {f.name: f.type for f in fields(cls)}
+    return tuple(_CATEGORIES.get(types[n], types[n])
+                 for n in cls.__match_args__)
+
+
+_HEADS = {cls: head for heads in _GRAMMAR.values()
+          for head, cls in heads.items()}
+# (category, head): (class, kind of each argument), where a kind is a
+# category, "str" or "int".
+_READERS = {(c, head): (cls, _kinds(cls))
+            for c, heads in _GRAMMAR.items() for head, cls in heads.items()}
+_READERS["term", _HEADS[ObjVar]] = (Var, _kinds(ObjVar))
+_READERS.update((("term", tag), (Const, ("type",) * arity))
+                for tag, (arity, _) in _CONST_SPECS.items())
+
+
+def _from_tree(form, category: str):
+    """Build the value of ``category`` that a read form writes.
+
+    One frame per level of the form: the arguments are read in a plain
+    loop, since a generator per node would double the frames.
+    """
+    form = _expect_list(form, category)
+    head, n = form[0], 1
+    if head == "axiom" and len(form) > 1 and isinstance(form[1], str):
+        head, n = f"axiom {form[1]}", 2  # an axiom's head is two symbols
+    row = _READERS.get((category, head)) if isinstance(head, str) else None
+    if row is None or len(form) != n + len(row[1]):
+        raise ParseError(f"unrecognized {category} form {_show(form)}")
+    cls, kinds = row
+    args = []
+    for a, kind in zip(form[n:], kinds):
+        if kind == "int":
+            try:
+                a = int(a)
+            except (TypeError, ValueError):
+                raise ParseError(f"expected an integer in the {category} "
+                                 f"form {_show(form)}, got {_show(a)}") \
+                    from None
+        elif kind != "str":
+            a = _from_tree(a, kind)
+        elif not isinstance(a, str):
+            raise ParseError(f"expected a symbol in the {category} form "
+                             f"{_show(form)}, got {_show(a)}")
+        args.append(a)
+    try:
+        if cls is Const:
+            return Const(head, tuple(args))
+        return Var(ObjVar(*args)) if cls is Var else cls(*args)
+    except TypeError as e:  # App and Atom check the types of their terms
+        raise ParseError(f"ill-typed {category} form {_show(form)}: {e}") \
+            from None
+
+
+def _write(x, memo: dict) -> str:
+    """The text of ``x``, which ``memo`` (texts by ``id``) does not hold.
+
+    Like ``_from_tree``, one frame per level; callers look in the memo
+    first, so a node already written costs no frame.  The memo lives for
+    one top-level call, so each distinct node is written once.
+    """
+    key = id(x)
+    if type(x) is Var:
+        x = x.var  # a term variable is written as its ObjVar
+    if type(x) is Const:
+        parts, args = [x.tag], x.params
+    else:
+        parts = [_HEADS[type(x)]]
+        args = map(x.__getattribute__, x.__match_args__)
+    for a in args:
+        if type(a) is str:
+            parts.append(a)
+        elif type(a) is int:
+            parts.append(str(a))
+        else:
+            parts.append(memo.get(id(a)) or _write(a, memo))
+    text = memo[key] = f"({' '.join(parts)})"
+    return text
+
+
+def print_form(x) -> str:
+    """Print a type, variable, term, formula, axiom or assumption."""
+    return _write(x, {})
+
+
+# One printer serves every category.
+print_type = print_term = print_formula = print_form
 
 
 def parse_type(text: str) -> ObjType:
-    return type_from_tree(read_sexpr(text))
-
-
-# ---------------------------------------------------------------------------
-# Terms
-
-
-def var_from_tree(form) -> ObjVar:
-    form = _expect_list(form, "variable")
-    match form:
-        case ["var", name, idx, ty] if isinstance(name, str):
-            return ObjVar(name, _int(idx, "variable index"),
-                          type_from_tree(ty))
-    raise ParseError(f"unrecognized variable form {_show(form)}")
-
-
-def term_from_tree(form) -> Term:
-    form = _expect_list(form, "term")
-    head = form[0]
-    if head == "var":
-        return Var(var_from_tree(form))
-    if head == "app":
-        if len(form) != 3:
-            raise ParseError("app takes exactly two subterms")
-        try:
-            return App(term_from_tree(form[1]), term_from_tree(form[2]))
-        except TypeError as e:
-            raise ParseError(f"ill-typed application: {e}") from None
-    if head == "lam":
-        if len(form) != 3:
-            raise ParseError("lam takes a variable and a body")
-        return Lam(var_from_tree(form[1]), term_from_tree(form[2]))
-    if isinstance(head, str) and head in _CONST_SPECS:
-        arity = _CONST_SPECS[head][0]
-        if len(form) != 1 + arity:
-            raise ParseError(
-                f"constant {head} takes {arity} type parameters")
-        return Const(head, tuple(type_from_tree(p) for p in form[1:]))
-    raise ParseError(f"unrecognized term form {_show(form)}")
-
-
-def print_var(v: ObjVar) -> str:
-    return f"(var {v.name} {v.index} {print_type(v.ty)})"
-
-
-def print_term(t: Term) -> str:
-    match t:
-        case Var(v):
-            return print_var(v)
-        case Const(tag, params):
-            if not params:
-                return f"({tag})"
-            inner = " ".join(print_type(p) for p in params)
-            return f"({tag} {inner})"
-        case App(fun, arg):
-            return f"(app {print_term(fun)} {print_term(arg)})"
-        case Lam(bound, body):
-            return f"(lam {print_var(bound)} {print_term(body)})"
-    raise ValueError(f"unexpected term {t!r}")
+    return _from_tree(read_sexpr(text), "type")
 
 
 def parse_term(text: str) -> Term:
-    return term_from_tree(read_sexpr(text))
-
-
-# ---------------------------------------------------------------------------
-# Formulas
-
-
-def formula_from_tree(form) -> Formula:
-    form = _expect_list(form, "formula")
-    match form:
-        case ["bot"]:
-            return BOT
-        case ["atom", t]:
-            try:
-                return Atom(term_from_tree(t))
-            except TypeError as e:
-                raise ParseError(f"non-boolean atom payload: {e}") from None
-        case ["imp", a, b]:
-            return Imp(formula_from_tree(a), formula_from_tree(b))
-        case ["and", a, b]:
-            return And(formula_from_tree(a), formula_from_tree(b))
-        case ["or", a, b]:
-            return Or(formula_from_tree(a), formula_from_tree(b))
-        case ["all", v, a]:
-            return All(var_from_tree(v), formula_from_tree(a))
-        case ["ex", v, a]:
-            return Ex(var_from_tree(v), formula_from_tree(a))
-    raise ParseError(f"unrecognized formula form {_show(form)}")
-
-
-def print_formula(a: Formula) -> str:
-    match a:
-        case Bot():
-            return "(bot)"
-        case Atom(t):
-            return f"(atom {print_term(t)})"
-        case Imp(p, c):
-            return f"(imp {print_formula(p)} {print_formula(c)})"
-        case And(l, r):
-            return f"(and {print_formula(l)} {print_formula(r)})"
-        case Or(l, r):
-            return f"(or {print_formula(l)} {print_formula(r)})"
-        case All(x, b):
-            return f"(all {print_var(x)} {print_formula(b)})"
-        case Ex(x, b):
-            return f"(ex {print_var(x)} {print_formula(b)})"
-    raise ValueError(f"unexpected formula {a!r}")
+    return _from_tree(read_sexpr(text), "term")
 
 
 def parse_formula(text: str) -> Formula:
-    return formula_from_tree(read_sexpr(text))
-
-
-# ---------------------------------------------------------------------------
-# Axiom identifiers
-
-
-_AXIOM_TAGS = {
-    Truth: "truth",
-    BoolCases: "boolcases",
-    IndNat: "indnat",
-    IndList: "indlist",
-    BotPlus: "botplus",
-    OrIntroL: "or-intro-l",
-    OrIntroR: "or-intro-r",
-    OrElim: "or-elim",
-    ExIntro: "ex-intro",
-    ExElim: "ex-elim",
-    Lem: "lem",
-}
-
-
-_AXIOM_CLASSES = {tag: cls for cls, tag in _AXIOM_TAGS.items()}
-# Axiom arguments are the dataclass fields in order, handled by declared type.
-_FIELD_READERS = {"ObjVar": var_from_tree, "Formula": formula_from_tree,
-                  "Term": term_from_tree}
-_FIELD_PRINTERS = {"ObjVar": print_var, "Formula": print_formula,
-                   "Term": print_term}
-
-
-def axiom_from_tree(form) -> AxiomId:
-    form = _expect_list(form, "axiom")
-    match form:
-        case ["axiom", str(tag), *args] if tag in _AXIOM_CLASSES:
-            cls = _AXIOM_CLASSES[tag]
-            kinds = [f.type for f in fields(cls)]
-            if len(args) == len(kinds):
-                return cls(*(_FIELD_READERS[k](a) for k, a in zip(kinds, args)))
-    raise ParseError(f"unrecognized axiom form {_show(form)}")
-
-
-def print_axiom(ax: AxiomId) -> str:
-    args = [_FIELD_PRINTERS[f.type](getattr(ax, f.name)) for f in fields(ax)]
-    return " ".join(["(axiom", _AXIOM_TAGS[type(ax)], *args]) + ")"
+    return _from_tree(read_sexpr(text), "formula")
 
 
 # ---------------------------------------------------------------------------
 # Proofs
 
 
-def _assumption_from_tree(form) -> AssumptionVar:
-    form = _expect_list(form, "assumption")
-    match form:
-        case ["assume", name, idx, a] if isinstance(name, str):
-            return AssumptionVar(name, _int(idx, "assumption index"),
-                                 formula_from_tree(a))
-    raise ParseError(f"unrecognized assumption form {_show(form)}")
-
-
-# Inner proof forms by head symbol.  A form is the head, arguments read by
-# ``before``, ``n`` subproofs, then arguments read by ``after``; it builds
-# ``rule`` with parameters ``fixed`` and then the read arguments.  Arguments
-# before the subproofs are read on the way down and the rest on the way up,
-# so errors are reported in textual order.
+# Inner proof forms by head symbol.  A form is the head, arguments of the
+# kinds ``before``, ``n`` subproofs, then arguments of the kinds ``after``;
+# it builds ``rule`` with parameters ``fixed`` and then the arguments.
+# Arguments before the subproofs are read on the way down and the rest on
+# the way up, so errors are reported in textual order.  ``print_proof``
+# writes the same forms.
 _PROOF_FORMS = {  # tag: (rule, fixed, before, n, after)
     "pair-pf": ("and_intro", (), (), 2, ()),
     "proj0": ("proj", (0,), (), 1, ()),
     "proj1": ("proj", (1,), (), 1, ()),
     "app-pf": ("imp_elim", (), (), 2, ()),
-    "lam-pf": ("imp_intro", (), (_assumption_from_tree,), 1, ()),
-    "inst": ("all_elim", (), (), 1, (term_from_tree,)),
-    "gen": ("all_intro", (), (var_from_tree,), 1, ()),
+    "lam-pf": ("imp_intro", (), ("assumption",), 1, ()),
+    "inst": ("all_elim", (), (), 1, ("term",)),
+    "gen": ("all_intro", (), ("variable",), 1, ()),
 }
 _NO_FORM = (None, (), (), -1, ())  # matches no form length
-# Only these forms take labels, so the readers of formulas, terms, types and
-# assumptions, which do not memoize, never look below the head of a shared
-# list.
+_PROOF_TAGS = {(rule, fixed): tag
+               for tag, (rule, fixed, *_) in _PROOF_FORMS.items()}
+# Only these forms take labels, so the reader of formulas, terms, types and
+# assumptions, which does not memoize, never looks below the head of a
+# shared list.
 _LABELLED_FORMS = {*_PROOF_FORMS, "axiom"}
 
 
@@ -370,6 +296,21 @@ def proof_from_tree(form, th: TheoryId, supply: NameSupply | None = None,
         supply = NameSupply()
     early = {}  # arguments read on the way down, by id of their form
     sizes = {}  # written-out size of each formula and term node met
+    assumed = {}  # (name, index): the last assume form read and its value
+
+    def read(form, category: str):
+        # A proof repeats an assumption's formula at every use, so an assume
+        # form equal to the last one read under its name and index is not
+        # read again.
+        if category != "assumption" or not (
+                isinstance(form, list) and len(form) == 4
+                and isinstance(form[1], str) and isinstance(form[2], str)):
+            return _from_tree(form, category)
+        last = assumed.get((form[1], form[2]))
+        if last is None or last[0] != form:
+            last = assumed[form[1], form[2]] = \
+                form, _from_tree(form, category)
+        return last[1]
 
     def children(form) -> list:
         form = _expect_list(form, "proof")
@@ -381,25 +322,26 @@ def proof_from_tree(form, th: TheoryId, supply: NameSupply | None = None,
         if len(form) != 1 + len(before) + n + len(after):
             raise ParseError(f"unrecognized proof form {_show(form)}")
         if before:
-            early[id(form)] = tuple(r(a) for r, a in zip(before, form[1:]))
+            early[id(form)] = tuple(
+                read(a, k) for k, a in zip(before, form[1:]))
         return form[1 + len(before):1 + len(before) + n]
 
     def construct(form, kids) -> Proof:
         match form[0]:
             case "assume":
-                m = assume(_assumption_from_tree(form))
+                m = assume(read(form, "assumption"))
             case "axiom":
-                m = axiom(axiom_from_tree(form), th, supply)
+                m = axiom(read(form, "axiom"), th, supply)
             case tag:
                 rule, params, before, _, after = _PROOF_FORMS[tag]
                 if before:
                     params += early.pop(id(form))
                 if after:
                     params += tuple(
-                        r(a) for r, a in zip(after, form[-len(after):]))
+                        read(a, k) for k, a in zip(after, form[-len(after):]))
                 m = build(rule, kids, params, supply)
         # Recurses only into nodes not measured yet, which the recursive
-        # readers or substitution have just built: no deeper than they went.
+        # reader or substitution has just built: no deeper than it went.
         if max_size is not None and \
                 (n := written_size(m.conclusion, sizes)) > max_size:
             raise ParseError(f"the {form[0]} form's conclusion has {n} "
@@ -423,19 +365,20 @@ def parse_proof(text: str, th: TheoryId,
                            len(tokens) ** 2 if labelled else None)
 
 
-def _print_assumption(u: AssumptionVar) -> str:
-    return f"(assume {u.name} {u.index} {print_formula(u.formula)})"
-
-
 def print_proof(m: Proof) -> str:
     """Print a proof, writing each shared subproof once.
 
     A node with more than one use, other than an ``assume`` leaf, is written
     ``#n=<form>`` at its first place and ``#n#`` at the others, with labels
     numbered from 0 in print order.  A proof without such a node prints as
-    a plain tree.
+    a plain tree.  The text of each distinct formula, term and type is made
+    once and reused wherever the proof uses it.
     """
     uses: dict[int, int] = {}
+    memo: dict[int, str] = {}  # of _write, for the whole proof
+
+    def write(x) -> str:
+        return memo.get(id(x)) or _write(x, memo)
 
     # The image of a node is a new tuple of its own text and the images of
     # its children, so below it stands for the node; the image of an assume
@@ -443,25 +386,24 @@ def print_proof(m: Proof) -> str:
     def parts(m: Proof, kids) -> str | tuple:
         for k in kids:
             uses[id(k)] = uses.get(id(k), 0) + 1
-        match m.rule:
-            case "assume":
-                return _print_assumption(m.params[0])
-            case "axiom":
-                return (print_axiom(m.params[0]),)
-            case "and_intro":
-                return ("(pair-pf ", kids[0], " ", kids[1], ")")
-            case "proj":
-                return (f"(proj{m.params[0]} ", kids[0], ")")
-            case "imp_elim":
-                return ("(app-pf ", kids[0], " ", kids[1], ")")
-            case "imp_intro":
-                return (f"(lam-pf {_print_assumption(m.params[0])} ", kids[0],
-                        ")")
-            case "all_elim":
-                return ("(inst ", kids[0], f" {print_term(m.params[0])})")
-            case "all_intro":
-                return (f"(gen {print_var(m.params[0])} ", kids[0], ")")
-        raise ValueError(f"unexpected rule {m.rule!r}")
+        if m.rule == "assume":
+            return write(m.params[0])
+        if m.rule == "axiom":
+            return (write(m.params[0]),)
+        tag = _PROOF_TAGS.get((m.rule, ())) or \
+            _PROOF_TAGS[m.rule, m.params[:1]]
+        _, fixed, before, _, _ = _PROOF_FORMS[tag]
+        args = m.params[len(fixed):]
+        text, image = f"({tag}", []
+        for x in args[:len(before)]:
+            text += " " + write(x)
+        for k in kids:
+            image += (text + " ", k)
+            text = ""
+        for x in args[len(before):]:
+            text += " " + write(x)
+        image.append(text + ")")
+        return tuple(image)
 
     stack = [map_proof(m, parts)]
     # Label of each shared image, None until it is first printed.

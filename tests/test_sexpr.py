@@ -1,5 +1,6 @@
 """Round-trips and error reporting for the S-expression layer."""
 
+import sys
 import time
 from hashlib import sha256
 
@@ -12,9 +13,13 @@ from minarith import (Arrow, BOOL, Const, GenConfig, Imp, NAT, NameSupply,
                       parse_proof, parse_term, parse_type, print_formula,
                       print_proof, print_term, print_type, prove_efq,
                       read_sexpr, recheck)
-from minarith.errors import ParseError
-from minarith.formula import written_size
-from minarith.syntax import App, Lam, ListType, Prod, TypeVar, Var
+from minarith import sexpr
+from minarith.cli import main
+from minarith.errors import ParseError, ShapeError
+from minarith.formula import (BOT, All, And, Atom, Bot, Ex, Or, imp,
+                              written_size)
+from minarith.syntax import (SUCC, TT, ZERO, App, BoolType, Lam, ListType,
+                             NatType, Prod, TypeVar, Var, _CONST_SPECS)
 
 from conftest import load_manifest
 
@@ -260,3 +265,197 @@ def test_errors_quote_shared_forms_briefly(parse, text):
     with pytest.raises(ParseError) as e:
         parse(text, *args)
     assert "(axiom (axiom" in str(e.value) and len(str(e.value)) < 200
+
+
+# ---------------------------------------------------------------------------
+# An independent printer, written from the grammar in the README.  It shares
+# no code with minarith.sexpr, which reads and prints every category from
+# one table.
+
+
+def oracle(x) -> str:
+    match x:
+        case BoolType():
+            return "(bool)"
+        case NatType():
+            return "(nat)"
+        case TypeVar(name):
+            return f"(tvar {name})"
+        case ListType(t):
+            return f"(list {oracle(t)})"
+        case Arrow(t, r):
+            return f"(arrow {oracle(t)} {oracle(r)})"
+        case Prod(t, r):
+            return f"(prod {oracle(t)} {oracle(r)})"
+        case ObjVar(name, index, ty):
+            return f"(var {name} {index} {oracle(ty)})"
+        case Var(v):
+            return oracle(v)
+        case Const(tag, params):
+            return "(" + " ".join([tag, *map(oracle, params)]) + ")"
+        case App(f, a):
+            return f"(app {oracle(f)} {oracle(a)})"
+        case Lam(v, b):
+            return f"(lam {oracle(v)} {oracle(b)})"
+        case Bot():
+            return "(bot)"
+        case Atom(t):
+            return f"(atom {oracle(t)})"
+        case Imp(p, c):
+            return f"(imp {oracle(p)} {oracle(c)})"
+        case And(a, b):
+            return f"(and {oracle(a)} {oracle(b)})"
+        case Or(a, b):
+            return f"(or {oracle(a)} {oracle(b)})"
+        case All(v, b):
+            return f"(all {oracle(v)} {oracle(b)})"
+        case Ex(v, b):
+            return f"(ex {oracle(v)} {oracle(b)})"
+    raise ValueError(f"no grammar rule for {x!r}")
+
+
+X = ObjVar("x", 3, NAT)
+B = ObjVar("b", 0, BOOL)
+TYPES = [BOOL, NAT, TypeVar("a"), ListType(NAT), Arrow(NAT, BOOL),
+         Prod(Arrow(BOOL, BOOL), ListType(TypeVar("b")))]
+# Each constant tag with type parameters of its number, from the README.
+CONSTANTS = {"tt": (), "ff": (), "zero": (), "succ": (), "nil": (NAT,),
+             "cons": (BOOL,), "cases": (NAT,), "recnat": (BOOL,),
+             "pair": (NAT, BOOL), "reclist": (BOOL, NAT),
+             "split": (NAT, BOOL, ListType(NAT))}
+TERMS = [Var(X), Lam(X, Var(X)), App(SUCC, ZERO),
+         *(Const(tag, params) for tag, params in CONSTANTS.items())]
+FORMULAS = [BOT, Atom(TT), Imp(BOT, Atom(Var(B))), And(BOT, BOT),
+            Or(Atom(TT), BOT), All(X, Atom(App(Lam(X, TT), Var(X)))),
+            Ex(B, Atom(Var(B)))]
+
+
+class TestGrammarOracle:
+    def test_constants_cover_every_tag(self):
+        assert set(CONSTANTS) == set(_CONST_SPECS)
+
+    @pytest.mark.parametrize("ty", TYPES, ids=oracle)
+    def test_every_type_head(self, ty):
+        assert print_type(ty) == oracle(ty)
+        # Types are not interned: the round trip gives an equal value.
+        assert parse_type(print_type(ty)) == ty
+
+    @pytest.mark.parametrize("t", TERMS, ids=oracle)
+    def test_every_term_head(self, t):
+        assert print_term(t) == oracle(t)
+        assert parse_term(print_term(t)) is t
+
+    @pytest.mark.parametrize("a", FORMULAS, ids=oracle)
+    def test_every_formula_head(self, a):
+        assert print_formula(a) == oracle(a)
+        assert parse_formula(print_formula(a)) is a
+
+    def test_random_formulas(self):
+        for seed in range(150):
+            for lang in (TheoryId.NA, TheoryId.MA, TheoryId.HA):
+                a = gen_formula(GenConfig(seed=seed, max_size=12,
+                                          language=lang))
+                assert print_formula(a) == oracle(a)
+                assert parse_formula(print_formula(a)) is a
+
+
+def test_print_proof_writes_each_distinct_node_once(monkeypatch):
+    # Each assumption of these proofs is printed at its lam-pf and at one
+    # or more assume leaves, but its text is made once.
+    written = []
+    write = sexpr._write
+
+    def counting(x, memo):
+        written.append(id(x))
+        return write(x, memo)
+
+    monkeypatch.setattr(sexpr, "_write", counting)
+    for seed in range(30):
+        a = gen_formula(GenConfig(seed=seed, max_size=12,
+                                  language=TheoryId.MA))
+        written.clear()
+        m = prove_efq(a, TheoryId.MA, NameSupply(50_000))
+        print_proof(m)
+        assert len(written) == len(set(written))
+
+
+class TestAssumeForms:
+    def test_equal_forms_give_one_variable(self):
+        p = parse_proof("(pair-pf (assume u 0 (atom (tt))) "
+                        "(assume u 0 (atom (tt))))", TheoryId.NA)
+        assert p.children[0].params[0] is p.children[1].params[0]
+
+    def test_same_name_and_index_at_another_formula_is_refused(self):
+        with pytest.raises(ShapeError, match="u_0 reused"):
+            parse_proof("(pair-pf (assume u 0 (atom (tt))) "
+                        "(assume u 0 (bot)))", TheoryId.MA)
+
+
+def test_deep_chain_prints_and_parses_at_default_recursion_limit():
+    # One frame per level: 900 levels fit under the default limit of 1000.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a = imp(*[TRUTH] * 900)
+        assert parse_formula(print_formula(a)) is a
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _parse_in(category: str):
+    # The public reader that reaches forms of the category.
+    return {"type": parse_type, "term": parse_term, "formula": parse_formula,
+            "variable": parse_formula}.get(
+        category, lambda text: parse_proof(text, TheoryId.MA))
+
+
+# One case per kind of malformed form, in each category where it can occur.
+@pytest.mark.parametrize("category, text", [
+    ("type", "(float)"),
+    ("type", "(list (nat) (nat))"),
+    ("type", "bool"),
+    ("type", "(tvar (a))"),
+    ("variable", "(all (vr x 0 (nat)) (bot))"),
+    ("variable", "(all (var x 0) (bot))"),
+    ("variable", "(all x (bot))"),
+    ("variable", "(all (var (x) 0 (nat)) (bot))"),
+    ("variable", "(all (var x y (nat)) (bot))"),
+    ("term", "(frob)"),
+    ("term", "(app (tt))"),
+    ("term", "tt"),
+    ("term", "(app (tt) (ff))"),
+    ("term", "(nil)"),
+    ("term", "(pair (nat))"),
+    ("formula", "(iff (bot) (bot))"),
+    ("formula", "(imp (bot))"),
+    ("formula", "(imp bot (bot))"),
+    ("formula", "(atom (zero))"),
+    ("axiom", "(axiom frob)"),
+    ("axiom", "(axiom lem)"),
+    ("axiom", "(axiom truth (bot))"),
+    ("assumption", "(assume u 0)"),
+    ("assumption", "(lam-pf u (axiom truth))"),
+    ("assumption", "(assume (u) 0 (bot))"),
+    ("assumption", "(assume u x (bot))"),
+], ids=["type-head", "type-arity", "type-non-list", "type-name",
+        "variable-head", "variable-arity", "variable-non-list",
+        "variable-name", "variable-index", "term-head", "term-arity",
+        "term-non-list", "term-ill-typed-app", "term-constant-params",
+        "term-constant-params-2", "formula-head", "formula-arity",
+        "formula-non-list", "formula-non-boolean-atom", "axiom-head",
+        "axiom-arity", "axiom-arity-2", "assumption-arity",
+        "assumption-non-list", "assumption-name", "assumption-index"])
+def test_malformed_forms_name_their_category(category, text):
+    with pytest.raises(ParseError) as e:
+        _parse_in(category)(text)
+    message = str(e.value)
+    assert category in message
+    assert "\n" not in message and len(message) < 200
+
+
+def test_malformed_formula_file_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.fml"
+    src.write_text("(atom (zero))", encoding="utf-8")
+    assert main(["classify", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse-error") and "formula" in err

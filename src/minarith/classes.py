@@ -87,6 +87,15 @@ def in_QF(a: Formula) -> bool:
     return in_Q(subst_bot_falsity(a))
 
 
+def _falsity(a: Formula, memo: dict) -> Formula:
+    """A^F, kept under (a, "F") in the memo of one classify or certify call."""
+    key = (a, "F")
+    af = memo.get(key)
+    if af is None:
+        af = memo[key] = subst_bot_falsity(a)
+    return af
+
+
 def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
     """(definite, goal, relevant, irrelevant) per the mutual recursion.
 
@@ -108,7 +117,8 @@ def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
             pd, pg, pr, pi = _flags(p, memo)
             cd, cg, cr, ci = _flags(c, memo)
             d = (pi and cd) or (pg and cr)
-            g = ((pr or (pd and in_QF(p))) and cg) or (pd and ci)
+            g = (((pr or (pd and in_Q(_falsity(p, memo)))) and cg)
+                 or (pd and ci))
             r = pg and cr
             i = pd and ci
             out = (d, g, r, i)
@@ -159,13 +169,14 @@ def certify(a: Formula, c: ClassId,
             return None
         return prove_case_distinction(a, BOT, TheoryId.MA, supply)
     if c == ClassId.QF:
-        if not in_QF(a):
+        af = subst_bot_falsity(a)
+        if not in_Q(af):
             return None
-        return prove_case_distinction(subst_bot_falsity(a), BOT,
-                                      TheoryId.MA, supply)
+        return prove_case_distinction(af, BOT, TheoryId.MA, supply)
     index = {ClassId.DEFINITE: 0, ClassId.GOAL: 1, ClassId.RELEVANT: 2,
              ClassId.IRRELEVANT: 3}[c]
-    # certificates under (formula, class), flags under the formula
+    # certificates under (formula, class), A^F under (formula, "F"), flags
+    # under the formula
     memo: dict = {}
     if not _flags(a, memo)[index]:
         return None
@@ -183,7 +194,7 @@ def _cert(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
 
 
 def _cert_build(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
-    af = subst_bot_falsity(a)
+    af = _falsity(a, memo)
     match a:
         case Bot():
             return _cert_bot(c, supply)
@@ -230,8 +241,8 @@ def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
 def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
     pd, pg, pr, pi = _flags(p, memo)
     qd, qg, qr, qi = _flags(q, memo)
-    pf = subst_bot_falsity(p)
-    qf = subst_bot_falsity(q)
+    pf = _falsity(p, memo)
+    qf = _falsity(q, memo)
 
     if c == ClassId.DEFINITE:
         u = fresh_assumption("u", af, supply)
@@ -277,7 +288,7 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
             body = imp_elim(imp_elim(ih_q, imp_elim(assume(u), have_p)),
                             qf_bot)
             return imp_intro(u, imp_intro(v, body))
-        if pd and in_QF(p) and qg:
+        if pd and in_Q(pf) and qg:
             efq_qf = prove_efq(qf, _MA, supply)
             ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
             ih_q = _cert(q, ClassId.GOAL, supply, memo)
@@ -331,8 +342,8 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
 
 
 def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
-    lf = subst_bot_falsity(l)
-    rf = subst_bot_falsity(r)
+    lf = _falsity(l, memo)
+    rf = _falsity(r, memo)
     if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
         # componentwise along A^F /\ B^F -> A /\ B (or its converse)
         ih_l = _cert(l, c, supply, memo)
@@ -374,7 +385,7 @@ def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
 
 
 def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
-    bf = subst_bot_falsity(b)
+    bf = _falsity(b, memo)
     if c == ClassId.DEFINITE:
         # relevant bodies are definite as well, so one subcase suffices
         ih = _cert(b, ClassId.DEFINITE, supply, memo)
@@ -394,7 +405,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
         b_tt = subst_formula_var(b, x, Const("tt"), supply)
         b_ff = subst_formula_var(b, x, Const("ff"), supply)
         conj = And(b_tt, b_ff)
-        conjf = subst_bot_falsity(conj)
+        conjf = _falsity(conj, memo)
         cert_conj = _cert(conj, ClassId.GOAL, supply, memo)
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)

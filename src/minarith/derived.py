@@ -96,8 +96,9 @@ def subst_bot_proof(m: Proof, s: Formula,
                     supply: NameSupply | None = None) -> Proof:
     """Rewrite an MA proof of A into a proof of A^S.
 
-    Free assumptions (u_i : A_i) turn into fresh assumptions (u~_i : A_i^S);
-    the bottom-introduction axiom becomes an ex-falso proof of F -> S.
+    A free assumption (u_i : A_i) turns into (u_i : A_i^S), with the same
+    name and index; the bottom-introduction axiom becomes an ex-falso proof
+    of F -> S.  A subproof in NA has no bottom, so it comes back as it is.
     """
     if not theory_leq(m.min_theory, TheoryId.MA):
         raise LanguageError("bottom substitution applies to NA/MA proofs only")
@@ -115,14 +116,18 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
     or an axiom's ``ObjVar`` field) drops y from sigma, and renames y if sigma
     or ``s`` would insert a free y.  ``s``, if given, replaces bottom.
     Rebuilt axioms live in ``th``, or in their own theory if it is None.
+
+    Where sigma is empty, a node that ``s`` cannot reach (every node if
+    ``s`` is None, else one whose least theory is NA, so that none of its
+    formulas has a bottom) is its own image, and its subtree is not entered.
+    An assumption keeps its name and index; only its formula is rewritten.
     """
     if supply is None:
         supply = NameSupply()
     fv_s = NO_VARS if s is None else s.fv
     # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
-    # id, and images of assumption variables by their image formula and,
-    # to compute that once per object, by (id, sigma).
-    pairs, binders, amap, images = {}, {}, {}, {}
+    # id, and images of assumption variables by (id, sigma).
+    pairs, binders, images = {}, {}, {}
 
     def node_at(m: Proof, inner):
         # A node under the outer sigma is the proof itself, any other one a
@@ -150,19 +155,17 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         return subst(a, dict(sigma), s, supply)
 
     def assumption(u: AssumptionVar, sigma) -> AssumptionVar:
-        # Keyed on the image formula: a binder renaming its eigenvariable
-        # changes sigma but not the image of an assumption used across it,
-        # since the eigenvariable is not free there.  So the assume and the
-        # imp_intro of one assumption get one image.
+        # A binder renaming its eigenvariable changes sigma but not the
+        # formula of an assumption used across it, where the eigenvariable
+        # is not free; so its assume and imp_intro get one image.  An input
+        # never has two variables of one name and index free together, so
+        # no image has; two whose formulas have one image become one, so an
+        # image may have fewer free assumptions than the input, never more.
         image = images.get((id(u), sigma))
         if image is None:
             f = rewrite(u.formula, sigma)
-            image = amap.get((u, f))
-            if image is None:
-                image = amap[u, f] = (
-                    AssumptionVar(u.name, u.index, f) if s is None
-                    else fresh_assumption(u.name, f, supply))
-            images[id(u), sigma] = image
+            image = images[id(u), sigma] = (
+                u if f is u.formula else AssumptionVar(u.name, u.index, f))
         return image
 
     def subst_axiom(m: Proof, sigma) -> Proof:
@@ -181,9 +184,12 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
                for v in values]
         return axiom(type(ax)(*new), th or m.min_theory, supply)
 
+    def fixed(m: Proof, inner) -> bool:
+        return not inner and (s is None or m.min_theory is TheoryId.NA)
+
     def children(n):
         m, inner = split(n)
-        if s is None and not inner:
+        if fixed(m, inner):
             return ()
         if m.rule == "all_intro":
             child = m.children[0]
@@ -195,7 +201,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
 
     def visit(n, kids) -> Proof:
         m, inner = split(n)
-        if s is None and not inner:
+        if fixed(m, inner):
             return m
         match m.rule:
             case "assume":

@@ -201,7 +201,10 @@ def canonical_formula(a: Formula | Term):
                         go(b, {**env, x: depth}, depth + 1))
         raise ValueError(f"unexpected node {a!r}")
 
-    return go(a, {}, 0)
+    try:
+        return go(a, {}, 0)
+    finally:
+        go = None  # go refers to itself: break the cycle, so no GC pass
 
 
 def alpha_eq(a: Formula | Term, b: Formula | Term) -> bool:
@@ -259,7 +262,10 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
         memo[id(n)] = out
         return out
 
-    return go(a)
+    try:
+        return go(a)
+    finally:
+        go = None  # go refers to itself: break the cycle, so no GC pass
 
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,

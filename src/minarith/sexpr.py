@@ -119,6 +119,12 @@ def _show(form, limit: int = 60) -> str:
     return "".join(out) + (" ..." if stack else "")
 
 
+def _brief(x, limit: int = 40) -> str:
+    """The printed text of ``x``, cut off after ``limit`` characters."""
+    text = print_form(x)
+    return text if len(text) <= limit else text[:limit] + " ..."
+
+
 def _expect_list(form, what: str) -> list:
     if not isinstance(form, list) or not form:
         raise ParseError(f"{what} form expected, got {_show(form)}")
@@ -205,9 +211,10 @@ def _from_tree(form, category: str):
         if cls is Const:
             return Const(head, tuple(args))
         return Var(ObjVar(*args)) if cls is Var else cls(*args)
-    except TypeError as e:  # App and Atom check the types of their terms
-        raise ParseError(f"ill-typed {category} form {_show(form)}: {e}") \
-            from None
+    except TypeError:  # App and Atom check the types of their terms
+        types = ", ".join(_brief(t.ty) for t in args if isinstance(t, Term))
+        raise ParseError(f"ill-typed {category} form {_show(form)}: its "
+                         f"terms have types {types}") from None
 
 
 def _write(x, memo: dict) -> str:

@@ -2,6 +2,7 @@
 
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
                       formula_size, gen_formula, imp, in_Q, in_QF, neg,
                       recheck, subst_bot_falsity, subst_formula_var,
                       theory_leq)
+from minarith import classes
 from minarith.errors import LanguageError
 from minarith.formula import All, And, Atom
 from minarith.syntax import BOOL, NAT
@@ -83,6 +85,23 @@ class TestQ:
         assert alpha_eq_formula(
             cert.conclusion,
             Imp(a, Imp(Imp(subst_bot_falsity(a), BOT), BOT)))
+
+    @pytest.mark.parametrize("irrelevant_bodies", [True, False])
+    def test_certify_computes_falsity_instance_once_per_node(
+            self, irrelevant_bodies, monkeypatch):
+        a = Atom(Var(ObjVar("x", 0, BOOL))) if irrelevant_bodies else BOT
+        for i in range(40):
+            x = ObjVar("x", i, BOOL)
+            a = All(x, Imp(BOT if irrelevant_bodies else Atom(Var(x)), a))
+        calls = Counter()
+
+        def counted(b):
+            calls[b] += 1
+            return subst_bot_falsity(b)
+
+        monkeypatch.setattr(classes, "subst_bot_falsity", counted)
+        assert certify(a, ClassId.GOAL) is not None
+        assert calls and max(calls.values()) == 1
 
 
 class TestClassification:

@@ -13,6 +13,7 @@ from minarith import (BOT, FALSITY, TRUTH, All, And, Atom, BotPlus, Const,
                       recheck, subst_bot, subst_bot_proof, subst_formula_var,
                       subst_objvar_proof, theory_leq)
 from minarith.errors import ClassError, LanguageError
+from minarith.kernel import AssumptionVar, BoolCases, Truth, all_elim
 from minarith.syntax import BOOL, NAT
 
 
@@ -138,13 +139,14 @@ class TestSubstBotProof:
                 assert alpha_eq_formula(n.conclusion,
                                         subst_bot(m.conclusion, s))
                 recheck(n)
-                # the free assumptions are the substituted originals
+                # the free assumptions are the substituted originals, with
+                # their names and indices
                 from minarith.formula import canonical_formula
-                key = lambda pair: (pair[0], repr(pair[1]))
-                want = sorted(((u.name, canonical_formula(
+                key = lambda triple: (*triple[:2], repr(triple[2]))
+                want = sorted(((u.name, u.index, canonical_formula(
                     subst_bot(u.formula, s))) for u in m.free_assumptions),
                     key=key)
-                got = sorted(((u.name, canonical_formula(u.formula))
+                got = sorted(((u.name, u.index, canonical_formula(u.formula))
                               for u in n.free_assumptions), key=key)
                 assert want == got
 
@@ -172,6 +174,76 @@ class TestSubstBotProof:
         assert q.free_assumptions == frozenset()
         assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
         recheck(q)
+
+    def test_na_subproof_is_kept(self):
+        sp = NameSupply()
+        u = fresh_assumption("u", TRUTH, sp)
+        na = and_intro(assume(u), axiom(Truth(), TheoryId.NA))
+        assert na.min_theory is TheoryId.NA
+        m = and_intro(na, axiom(BotPlus(), TheoryId.MA))
+        q = subst_bot_proof(m, TRUTH, sp)
+        assert q.children[0] is na
+        assert q.free_assumptions == frozenset({u})
+
+    def test_draws_no_index_without_botplus(self):
+        sp = NameSupply()
+        u = fresh_assumption("u", BOT, sp)
+        v = fresh_assumption("v", Imp(BOT, TRUTH), sp)
+        m = imp_intro(u, and_intro(assume(u), assume(v)))
+        start = sp.next_index
+        q = subst_bot_proof(m, Imp(TRUTH, TRUTH), sp)
+        assert sp.next_index == start
+        (w,) = q.free_assumptions
+        assert (w.name, w.index) == (v.name, v.index)
+        recheck(q)
+
+    def test_bottom_free_assumption_across_renamed_binder(self):
+        # u is bottom-free, so its image is u itself above the binder over
+        # y, where the substitution is empty, and below it, where y is
+        # renamed; the NA part below the binder mentions y, so it must be
+        # rewritten there, not kept.
+        sp = NameSupply()
+        y = ObjVar("y", sp.draw(), BOOL)
+        b = ObjVar("b", sp.draw(), BOOL)
+        u = fresh_assumption("u", TRUTH, sp)
+        cases = axiom(BoolCases(b, Imp(Atom(Var(b)), Atom(Var(b)))),
+                      TheoryId.NA)
+        na = and_intro(assume(u), all_elim(cases, Var(y)))
+        assert na.min_theory is TheoryId.NA and y in na.conclusion.fv
+        m = imp_intro(u, all_intro(y, and_intro(
+            na, axiom(BotPlus(), TheoryId.MA))))
+        assert m.free_assumptions == frozenset()
+        s = Atom(Var(y))
+        q = subst_bot_proof(m, s, sp)
+        assert q.free_assumptions == frozenset()
+        assert q.conclusion.prem is TRUTH
+        assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
+        recheck(q)
+
+    def test_twins_with_one_image_become_one_variable(self):
+        # u and w share a name and index; (bot)^S is w's formula, so the
+        # image of u's imp_intro discharges w as well.
+        u = AssumptionVar("u", 0, BOT)
+        w = AssumptionVar("u", 0, TRUTH)
+        m = imp_intro(u, assume(w))
+        assert m.free_assumptions == frozenset({w})
+        q = subst_bot_proof(m, TRUTH)
+        assert q.conclusion == Imp(TRUTH, TRUTH)
+        assert q.free_assumptions == frozenset()
+        recheck(q)
+
+    def test_small_indices_on_both_sides(self):
+        # Input and substitution draw from supplies that both start at 0.
+        for seed in range(150):
+            m = gen_proof(seed, 10, NameSupply(0))
+            for s in (TRUTH, FALSITY, Imp(TRUTH, BOT)):
+                n = subst_bot_proof(m, s, NameSupply(0))
+                recheck(n)
+                assert alpha_eq_formula(n.conclusion,
+                                        subst_bot(m.conclusion, s))
+                assert n.free_assumptions == frozenset(
+                    AssumptionVar(u.name, u.index, subst_bot(u.formula, s))
+                    for u in m.free_assumptions)
 
     def test_truth_substitution_lands_in_na(self):
         for seed in range(100):

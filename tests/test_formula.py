@@ -1,6 +1,7 @@
 """Formula language membership, substitutions, and the negative translation."""
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -357,3 +358,18 @@ class TestSubstOracle:
             assert out.right.concl is FALSITY
             out = out.left
         assert out == Atom(TT)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Every node a substitution makes is freed by reference counting,
+        # without waiting for a collection.
+        x, y, _ = POOL
+        a = All(y, Imp(Atom(Var(x)), Imp(BOT, Atom(Var(y)))))
+        gc.collect()
+        gc.disable()
+        try:
+            assert subst_formula_var(a, x, Var(y)) is not a
+            assert subst_bot_falsity(a) is not a
+            assert alpha_eq(a, All(x, a.body)) is False
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

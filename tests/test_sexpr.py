@@ -424,6 +424,8 @@ def _parse_in(category: str):
     ("term", "(app (tt))"),
     ("term", "tt"),
     ("term", "(app (tt) (ff))"),
+    ("term", "(app (lam (var x 0 (arrow (list (prod (nat) (bool))) (arrow "
+             "(list (nat)) (prod (bool) (list (nat)))))) (tt)) (zero))"),
     ("term", "(nil)"),
     ("term", "(pair (nat))"),
     ("formula", "(iff (bot) (bot))"),
@@ -440,10 +442,10 @@ def _parse_in(category: str):
 ], ids=["type-head", "type-arity", "type-non-list", "type-name",
         "variable-head", "variable-arity", "variable-non-list",
         "variable-name", "variable-index", "term-head", "term-arity",
-        "term-non-list", "term-ill-typed-app", "term-constant-params",
-        "term-constant-params-2", "formula-head", "formula-arity",
-        "formula-non-list", "formula-non-boolean-atom", "axiom-head",
-        "axiom-arity", "axiom-arity-2", "assumption-arity",
+        "term-non-list", "term-ill-typed-app", "term-ill-typed-nested-type",
+        "term-constant-params", "term-constant-params-2", "formula-head",
+        "formula-arity", "formula-non-list", "formula-non-boolean-atom",
+        "axiom-head", "axiom-arity", "axiom-arity-2", "assumption-arity",
         "assumption-non-list", "assumption-name", "assumption-index"])
 def test_malformed_forms_name_their_category(category, text):
     with pytest.raises(ParseError) as e:

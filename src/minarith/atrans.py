@@ -8,21 +8,19 @@ classified entry point synthesizes them from the formula classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CertificateError, ClassError, EmptyGoalError, ShapeError
 from .formula import (BOT, TRUTH, All, And, Bot, Ex, Formula, Imp, TheoryId,
                       alpha_eq_formula, brief_repr, subst_bot_falsity,
                       theory_leq)
 from .kernel import (ExIntro, Proof, all_elim, all_intro, assume, axiom,
                      fresh_assumption, imp_elim, imp_elims, imp_intro)
-from .syntax import NameSupply, ObjVar, Var
+from .syntax import NameSupply, Node, ObjVar, Var, node
 from .derived import subst_bot_proof
 from .classes import ClassId, certify, classify
 
 
-@dataclass(frozen=True)
-class TranslationInput:
+@node
+class TranslationInput(Node):
     """Premise proof plus the two class certificates of Theorem 4.1."""
 
     premise_proof: Proof

@@ -15,7 +15,6 @@ capture all formulas with these properties.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
@@ -24,7 +23,7 @@ from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
 from .kernel import (BoolCases, BotPlus, Proof, Truth, all_elim, all_intro,
                      and_intro, assume, axiom, fresh_assumption, imp_elim,
                      imp_elims, imp_intro, proj)
-from .syntax import BOOL, Const, NameSupply, Var
+from .syntax import BOOL, Const, NameSupply, Node, Var
 from .derived import prove_case_distinction, prove_efq
 
 
@@ -37,21 +36,26 @@ class ClassId(enum.Enum):
     IRRELEVANT = "I"
 
 
-@dataclass
 class ClassReport:
-    in_Q: bool
-    in_QF: bool
-    in_D: bool
-    in_G: bool
-    in_R: bool
-    in_I: bool
-    certificates: dict[ClassId, Proof] = field(default_factory=dict)
+    """Class flags of one formula, and certificates by class if made."""
+
+    __slots__ = __match_args__ = ("in_Q", "in_QF", "in_D", "in_G", "in_R",
+                                  "in_I", "certificates")
+    __repr__ = Node.__repr__
+
+    def __init__(self, in_Q: bool, in_QF: bool, in_D: bool, in_G: bool,
+                 in_R: bool, in_I: bool,
+                 certificates: dict[ClassId, Proof] | None = None):
+        self.in_Q, self.in_QF, self.in_D = in_Q, in_QF, in_D
+        self.in_G, self.in_R, self.in_I = in_G, in_R, in_I
+        self.certificates = {} if certificates is None else certificates
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ClassReport and all(
+            getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def flag(self, c: ClassId) -> bool:
-        return {ClassId.Q: self.in_Q, ClassId.QF: self.in_QF,
-                ClassId.DEFINITE: self.in_D, ClassId.GOAL: self.in_G,
-                ClassId.RELEVANT: self.in_R,
-                ClassId.IRRELEVANT: self.in_I}[c]
+        return getattr(self, f"in_{c.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each invocation reads one S-expression file, runs one operation, and prints
 the result.  Exit status 0 means success, 1 a domain failure (reported as a
 one-line reason code), 2 a parse or usage error.  All checking is done by
-the kernel; the CLI adds none of its own.
+the kernel; the CLI adds none of its own.  Subcommands import the modules
+they use, so ``check`` loads only the reader and the kernel.
 """
 
 from __future__ import annotations
@@ -13,16 +14,11 @@ import os
 import sys
 from pathlib import Path
 
-from .atrans import (TranslationInput, _premise_shape, a_translate_classified,
-                     refined_a_translate)
-from .classes import classify, format_report
-from .derived import prove_efq, prove_gg_equiv
 from .errors import (CertificateError, ClassError, EigenvariableError,
                      EmptyGoalError, KernelError, LanguageError, ParseError,
                      ShapeError, TheoryError)
 from .formula import TheoryId, gg_translate, in_language, theory_leq
 from .kernel import inspect
-from .search import Derivable, Unknown, bounded_derivable
 from .sexpr import (parse_formula, parse_proof, print_form,
                     print_formula, print_proof)
 from .syntax import NameSupply
@@ -76,11 +72,14 @@ def _cmd_check(args) -> str:
 
 
 def _cmd_classify(args) -> str:
+    from .classes import classify, format_report
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
     return format_report(classify(a))
 
 
 def _cmd_translate(args) -> str:
+    from .atrans import (TranslationInput, _premise_shape,
+                         a_translate_classified, refined_a_translate)
     text = Path(args.premise).read_text(encoding="utf-8")
     premise = parse_proof(text, TheoryId.MA)
     d, g, x = _premise_shape(premise)
@@ -101,6 +100,7 @@ def _cmd_translate(args) -> str:
 
 
 def _cmd_gg(args) -> str:
+    from .derived import prove_gg_equiv
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
     lines = [print_formula(gg_translate(a))]
     if in_language(a, TheoryId.NA):  # the equivalence is proved over NA
@@ -109,18 +109,20 @@ def _cmd_gg(args) -> str:
 
 
 def _cmd_efq(args) -> str:
+    from .derived import prove_efq
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
     return print_proof(prove_efq(a, TheoryId(args.theory)))
 
 
 def _cmd_search(args) -> str:
+    from .search import Derivable, Unknown, bounded_derivable
     a = parse_formula(Path(args.path).read_text(encoding="utf-8"))
     verdict = bounded_derivable(a, TheoryId(args.theory), args.depth)
     match verdict:
         case Derivable(witness):
             return f"derivable\n{print_proof(witness)}"
-        case Unknown(depth):
-            return f"unknown {depth}"
+        case Unknown(depth, node_cap_hit):
+            return f"unknown {depth}" + (" node-cap" if node_cap_hit else "")
     raise AssertionError("unreachable")
 
 

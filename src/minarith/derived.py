@@ -8,8 +8,6 @@ quantifier-free-style class.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from .errors import ClassError, LanguageError
 from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
                       TheoryId, brief_repr, imp, in_language, min_language,
@@ -126,7 +124,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         supply = NameSupply()
     fv_s = NO_VARS if s is None else s.fv
     # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
-    # id, and images of assumption variables by (id, sigma).
+    # id, and images of assumption variables by (variable, sigma).
     pairs, binders, images = {}, {}, {}
 
     def node_at(m: Proof, inner):
@@ -161,11 +159,11 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         # never has two variables of one name and index free together, so
         # no image has; two whose formulas have one image become one, so an
         # image may have fewer free assumptions than the input, never more.
-        image = images.get((id(u), sigma))
+        # Interning makes an image with an unchanged formula ``u`` itself.
+        image = images.get((u, sigma))
         if image is None:
-            f = rewrite(u.formula, sigma)
-            image = images[id(u), sigma] = (
-                u if f is u.formula else AssumptionVar(u.name, u.index, f))
+            image = images[u, sigma] = AssumptionVar(
+                u.name, u.index, rewrite(u.formula, sigma))
         return image
 
     def subst_axiom(m: Proof, sigma) -> Proof:
@@ -173,7 +171,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         if s is not None and isinstance(ax, BotPlus):
             return prove_efq(s, th, supply)
         # ObjVar fields bind every Formula field; Term fields lie outside.
-        values = [getattr(ax, f.name) for f in fields(ax)]
+        values = [getattr(ax, n) for n in ax.__match_args__]
         bodies = [v for v in values if isinstance(v, Formula)]
         inner, renamed = sigma, {}
         for v in values:

@@ -14,20 +14,16 @@ substitution over terms and formulas.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import LanguageError, TheoryError
-from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Lam, NameSupply,
-                     Node, ObjVar, Term, Var, bind, node, union)
+from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
+                     NameSupply, ObjVar, Term, Var, bind, node, union)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Formula(Node):
+class Formula(Expr):
     """Base class of the closed set of formula variants."""
 
-    fv: frozenset[ObjVar] = field(init=False, repr=False)
-    has_bot: bool = field(init=False, repr=False)
-    has_strong: bool = field(init=False, repr=False)
+    __slots__ = ("has_bot", "has_strong")
 
     def _facts(self, fv, has_bot, has_strong):
         object.__setattr__(self, "fv", fv)

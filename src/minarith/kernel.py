@@ -8,7 +8,6 @@ re-verifies proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import EigenvariableError, ShapeError, TheoryError
@@ -16,11 +15,12 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       Or, TheoryId, alpha_eq_formula, brief_repr, imp,
                       min_language, neg, subst, theory_join, theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, ObjVar, Term, Var, app, bind, union)
+                     NameSupply, Node, ObjVar, Term, Var, app, bind, node,
+                     union)
 
 
-@dataclass(frozen=True)
-class AssumptionVar:
+@node
+class AssumptionVar(Node):
     name: str
     index: int
     formula: Formula
@@ -35,75 +35,75 @@ def fresh_assumption(name: str, formula: Formula,
 # Axioms
 
 
-class AxiomId:
+class AxiomId(Node):
     """Base class of the closed set of axiom schemes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Truth(AxiomId):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class BoolCases(AxiomId):
     var: ObjVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class IndNat(AxiomId):
     var: ObjVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class IndList(AxiomId):
     var: ObjVar
     elem_var: ObjVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class BotPlus(AxiomId):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class OrIntroL(AxiomId):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class OrIntroR(AxiomId):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class OrElim(AxiomId):
     left: Formula
     right: Formula
     concl: Formula
 
 
-@dataclass(frozen=True)
+@node
 class ExIntro(AxiomId):
     body: Formula
     var: ObjVar
     witness: Term
 
 
-@dataclass(frozen=True)
+@node
 class ExElim(AxiomId):
     body: Formula
     var: ObjVar
     concl: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Lem(AxiomId):
     formula: Formula
 
@@ -213,8 +213,8 @@ class Proof:
                 f"[{self.min_theory.value}]>")
 
 
-@dataclass(frozen=True)
-class Judgement:
+@node
+class Judgement(Node):
     theory: TheoryId
     assumptions: frozenset[tuple[AssumptionVar, Formula]]
     conclusion: Formula

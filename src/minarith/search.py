@@ -2,14 +2,14 @@
 
 The searcher is goal-directed, sound, and deliberately incomplete: every
 positive verdict carries a kernel-checked witness, and a negative verdict
-only reports depth exhaustion, never non-derivability.  Induction axioms are
-excluded; instantiation terms come from a finite pool.
+only reports which limit ran out, the depth or the node cap, never
+non-derivability.  Induction axioms are excluded; instantiation terms come
+from a finite pool.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Ex, Formula,
@@ -18,28 +18,31 @@ from .formula import (BOT, FALSITY, All, And, Atom, Bot, Ex, Formula,
 from .kernel import (BotPlus, ExIntro, Lem, OrIntroL, OrIntroR,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, fresh_assumption, imp_elim, imp_intro, proj)
-from .syntax import (BOOL, FF, NAT, TT, ZERO, NameSupply,
-                     ObjType, ObjVar, Term, Var)
+from .syntax import (BOOL, FF, NAT, TT, ZERO, NameSupply, Node,
+                     ObjType, ObjVar, Term, Var, node)
 
 
 # ---------------------------------------------------------------------------
 # Verdicts
 
 
-class SearchVerdict:
+class SearchVerdict(Node):
     """Base class of the two search outcomes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Derivable(SearchVerdict):
     witness: Proof
 
 
-@dataclass(frozen=True)
+@node
 class Unknown(SearchVerdict):
+    """No proof within the depth; ``node_cap_hit`` if the cap cut it short."""
+
     depth_exhausted: int
+    node_cap_hit: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +69,9 @@ class _Budget:
         self.left = cap
 
     def spend(self) -> bool:
-        if self.left <= 0:
-            return False
+        """Take one node; once the cap is spent, refuse and go negative."""
         self.left -= 1
-        return True
+        return self.left >= 0
 
 
 def bounded_derivable(a: Formula, th: TheoryId, depth: int,
@@ -82,7 +84,7 @@ def bounded_derivable(a: Formula, th: TheoryId, depth: int,
     budget = _Budget(node_cap)
     witness = _prove((), a, th, depth, pool, supply, budget)
     if witness is None:
-        return Unknown(depth)
+        return Unknown(depth, budget.left < 0)
     return Derivable(witness)
 
 
@@ -186,8 +188,8 @@ def _focus(p: Proof, ctx, goal: Formula, th: TheoryId, depth: int, pool,
 _DEFAULT_ATOMS = (TT, FF)
 
 
-@dataclass(frozen=True)
-class GenConfig:
+@node
+class GenConfig(Node):
     seed: int
     max_size: int = 8
     language: TheoryId = TheoryId.MA

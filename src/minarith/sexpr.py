@@ -18,7 +18,6 @@ stands for the same form, so a shared subproof is written and checked once.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 
 from .errors import ParseError
 from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
@@ -162,7 +161,7 @@ _CATEGORIES = {"ObjType": "type", "ObjVar": "variable", "Term": "term",
 
 
 def _kinds(cls) -> tuple[str, ...]:
-    types = {f.name: f.type for f in fields(cls)}
+    types = cls.__annotations__
     return tuple(_CATEGORIES.get(types[n], types[n])
                  for n in cls.__match_args__)
 

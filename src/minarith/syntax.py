@@ -2,54 +2,138 @@
 
 Terms are immutable and well-typed by construction: ``App`` rejects argument
 type mismatches with ``TypeError`` at creation time, so ``type_of`` is total.
-Terms are interned: equal terms are one object (see ``node``).  Each carries
-its free variables, set at construction from its children's.  Substitution
-and alpha-equality walk terms and formulas together, in ``formula``.
+Types, variables and terms are interned: equal values are one object (see
+``node``).  Each term carries its free variables, set at construction from
+its children's.  Substitution and alpha-equality walk terms and formulas
+together, in ``formula``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from weakref import ref
+
+
+# ---------------------------------------------------------------------------
+# Interned value classes
+
+
+class _Ref(ref):
+    # A weak reference to a node that knows the node's key in _NODES.
+    __slots__ = ("key",)
+
+
+# The hash-consing table: (class, constructor arguments) -> weak reference
+# to the one live node with them.  Arguments that are nodes compare by
+# identity; strings, numbers and other values by value.  An entry goes when
+# its node is freed.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(r: _Ref) -> None:
+    if _NODES.get(r.key) is r:  # not an entry made since r's node died
+        del _NODES[r.key]
+
+
+class Node:
+    """Base of the immutable, interned value classes that ``node`` makes."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__match_args__
+        if kwargs or len(args) != len(names):
+            # Keywords and defaults, put in field order.
+            given = {**dict(zip(names, args)), **kwargs}
+            values = {**cls._defaults, **given}
+            if len(given) < len(args) + len(kwargs) or \
+                    values.keys() != set(names):
+                raise TypeError(f"{cls.__name__}() takes the arguments "
+                                f"({', '.join(names)})")
+            args = tuple(map(values.__getitem__, names))
+        key = (cls, *args)
+        r = _NODES.get(key)
+        if r is None or (n := r()) is None:
+            n = object.__new__(cls)
+            for set_field, a in zip(cls._setters, args):
+                set_field(n, a)
+            n.__post_init__()
+            r = _NODES[key] = _Ref(n, _forget)
+            r.key = key
+        return n
+
+    def __post_init__(self):
+        pass  # a variant's checks, facts and private slots are set here
+
+    def __reduce__(self):
+        # Copying and unpickling go through __new__, so they intern too.
+        return type(self), tuple(map(self.__getattribute__,
+                                     self.__match_args__))
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}"
+                         for n in self.__match_args__)
+        return f"{type(self).__qualname__}({args})"
+
+
+def node(cls):
+    """Remake ``cls``, a ``Node`` subclass, as an interned value class.
+
+    Its fields are the names annotated in its body, in order; a value given
+    there is the default.  An annotated name that starts with ``_`` is a
+    slot set by ``__post_init__``, not a field.  No code is generated.
+    """
+    ns = {k: v for k, v in vars(cls).items() if k != "__dict__"}
+    ns["__slots__"] = slots = tuple(ns.get("__annotations__", ()))
+    ns["__match_args__"] = fields = tuple(n for n in slots if n[0] != "_")
+    ns["_defaults"] = {n: ns.pop(n) for n in fields if n in ns}
+    cls = type(cls.__name__, cls.__bases__, ns)
+    cls._setters = tuple(vars(cls)[n].__set__ for n in fields)
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class ObjType:
+class ObjType(Node):
     """Base class of the closed set of type variants."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class TypeVar(ObjType):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class BoolType(ObjType):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class NatType(ObjType):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class ListType(ObjType):
     elem: ObjType
 
 
-@dataclass(frozen=True)
+@node
 class Arrow(ObjType):
     dom: ObjType
     cod: ObjType
 
 
-@dataclass(frozen=True)
+@node
 class Prod(ObjType):
     left: ObjType
     right: ObjType
@@ -73,8 +157,8 @@ def arrow(*types: ObjType) -> ObjType:
 # Variables and freshness
 
 
-@dataclass(frozen=True)
-class ObjVar:
+@node
+class ObjVar(Node):
     """Named object variable; the index disambiguates renamed copies."""
 
     name: str
@@ -116,65 +200,15 @@ class NameSupply:
 NO_VARS: frozenset[ObjVar] = frozenset()
 
 
-class _Ref(ref):
-    # A weak reference to a node that knows the node's key in _NODES.
-    __slots__ = ("key",)
+class Expr(Node):
+    """Base of terms and formulas, which carry their free variables."""
 
-
-# The hash-consing table: (variant, constructor arguments) -> weak reference
-# to the one live node with them.  Children in a key are interned nodes, so
-# the key compares them by identity; variables, types and tags compare by
-# value.  An entry goes when its node is freed.
-_NODES: dict[tuple, _Ref] = {}
-
-
-def _forget(r: _Ref) -> None:
-    if _NODES.get(r.key) is r:  # not an entry made since r's node died
-        del _NODES[r.key]
-
-
-class Node:
-    """Base of terms and formulas, which ``node`` makes interned variants."""
-
-    __slots__ = ("__weakref__",)
-
-    def __reduce__(self):
-        # Copying and unpickling go through __new__, so they intern too.
-        return type(self), tuple(map(self.__getattribute__,
-                                     self.__match_args__))
+    __slots__ = ("fv",)
 
     @property
-    def children(self) -> list[Node]:
+    def children(self) -> list[Expr]:
         """The terms and formulas among the constructor arguments."""
-        return [c for c in self.__reduce__()[1] if isinstance(c, Node)]
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) < len(cls.__match_args__):
-            # Defaults and keywords: let the dataclass __init__ sort them.
-            n = object.__new__(cls)
-            cls._init(n, *args, **kwargs)
-            args = n.__reduce__()[1]
-        key = (cls, *args)
-        r = _NODES.get(key)
-        if r is None or (n := r()) is None:
-            n = object.__new__(cls)
-            cls._init(n, *args)
-            r = _NODES[key] = _Ref(n, _forget)
-            r.key = key
-        return n
-
-
-def node(cls):
-    """Frozen, slotted, interned dataclass variant of a term or formula.
-
-    Construction returns the live node with the same variant and arguments
-    if there is one, so ``==`` and ``hash`` are identity.  Otherwise
-    ``Node.__new__`` runs the dataclass ``__init__`` (kept as ``_init``),
-    whose ``__post_init__`` sets the facts declared by the base class.
-    """
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
-    cls._init, cls.__init__ = cls.__init__, object.__init__
-    return cls
+        return [c for c in self.__reduce__()[1] if isinstance(c, Expr)]
 
 
 def union(a: frozenset, b: frozenset) -> frozenset:
@@ -209,11 +243,10 @@ _CONST_SPECS = {
 }
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Term(Node):
+class Term(Expr):
     """Base class of the closed set of term variants."""
 
-    fv: frozenset[ObjVar] = field(init=False, repr=False)
+    __slots__ = ()
 
     @property
     def ty(self) -> ObjType:
@@ -236,7 +269,7 @@ class Var(Term):
 class Const(Term):
     tag: str
     params: tuple[ObjType, ...] = ()
-    _ty: ObjType = field(init=False, repr=False)
+    _ty: ObjType
 
     def __post_init__(self):
         object.__setattr__(self, "fv", NO_VARS)
@@ -255,7 +288,7 @@ class Const(Term):
 class App(Term):
     fun: Term
     arg: Term
-    _ty: ObjType = field(init=False, repr=False)
+    _ty: ObjType
 
     def __post_init__(self):
         object.__setattr__(self, "fv", union(self.fun.fv, self.arg.fv))

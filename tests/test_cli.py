@@ -329,6 +329,17 @@ class TestSearch:
         assert code == 0
         assert out.strip() == "unknown 5"
 
+    def test_unknown_reports_node_cap(self, tmp_path, capsys,
+                                      monkeypatch):
+        # The cap (20000 expansions) is reached only by large searches.
+        import minarith.search
+        monkeypatch.setattr(minarith.search, "bounded_derivable",
+                            lambda *args: minarith.search.Unknown(3, True))
+        src = tmp_path / "f.fml"
+        src.write_text("(atom (ff))", encoding="utf-8")
+        code, out, _ = run(capsys, "search", str(src), "--theory", "NA")
+        assert (code, out.strip()) == (0, "unknown 3 node-cap")
+
 
 @pytest.mark.parametrize("argv", [["classify"], ["efq", "--theory", "NA"],
                                   ["gg"]])

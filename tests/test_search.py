@@ -21,6 +21,19 @@ class TestBoundedDerivable:
         v = bounded_derivable(FALSITY, TheoryId.NA, 6)
         assert v == Unknown(6)
 
+    def test_unknown_says_which_limit_ran_out(self):
+        # FALSITY expands one node; Imp(F, F) needs two.
+        assert bounded_derivable(FALSITY, TheoryId.NA, 6, node_cap=1) == \
+            Unknown(6)
+        v = bounded_derivable(FALSITY, TheoryId.NA, 6, node_cap=0)
+        assert v == Unknown(6, True) and v.node_cap_hit
+        assert not bounded_derivable(FALSITY, TheoryId.NA, 6).node_cap_hit
+        goal = Imp(FALSITY, FALSITY)
+        assert bounded_derivable(goal, TheoryId.NA, 3, node_cap=1) == \
+            Unknown(depth_exhausted=3, node_cap_hit=True)
+        assert isinstance(bounded_derivable(goal, TheoryId.NA, 3, node_cap=2),
+                          Derivable)
+
     def test_disjunction_via_left_intro(self):
         goal = Or(TRUTH, neg(TRUTH))
         v = bounded_derivable(goal, TheoryId.HA, 4)

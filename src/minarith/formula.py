@@ -328,11 +328,21 @@ def written_size(a: Formula | Term, sizes: dict) -> int:
     """Nodes of a formula or term written out as a tree, terms included.
 
     ``sizes`` memoizes by node, so a node shared in a DAG is measured once.
+    The walk keeps an explicit stack, so depth is not limited.
     """
     n = sizes.get(a)
-    if n is None:
-        n = sizes[a] = 1 + sum(written_size(b, sizes) for b in a.children)
-    return n
+    if n is not None:
+        return n
+    stack = [(a, None)]
+    while stack:
+        b, kids = stack.pop()
+        if kids is not None:
+            sizes[b] = 1 + sum(map(sizes.__getitem__, kids))
+        elif b not in sizes:
+            kids = b.children
+            stack.append((b, kids))
+            stack += [(c, None) for c in kids if c not in sizes]
+    return sizes[a]
 
 
 def brief_repr(a: Formula, limit: int = 100) -> str:

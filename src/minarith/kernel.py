@@ -369,8 +369,9 @@ def map_proof(root, visit, children=attrgetter("children")):
 
     ``visit(node, images)`` returns a node's image from its children's.  Each
     distinct node is visited once, memoized on identity: proofs are immutable.
-    ``children`` lets the walk run over other acyclic nodes, such as parsed
-    proof forms, as long as they stay alive until the walk ends.
+    ``children`` lets the walk run over other acyclic nodes, such as the
+    (proof, substitution) nodes of ``derived``, as long as they stay alive
+    until the walk ends.
     """
     images = {}
     stack = [(root, None)]

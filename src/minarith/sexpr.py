@@ -3,12 +3,21 @@
 One grammar, shared between the test fixtures and the CLI, is declared once.
 ``_GRAMMAR`` maps each head symbol of a type, variable, term, formula, axiom
 or assumption to the class its form builds, whose fields give the arguments;
-one reader (``_from_tree``) and one printer (``_write``) serve all of them.
-``_PROOF_FORMS`` declares the proof forms, which ``proof_from_tree`` reads
-and ``print_proof`` writes.  Parsing a proof goes straight through the
-kernel constructors, so a proof that parses has already been checked.  The
-printer memoizes on identity for one call, so a proof writes out the text
-of each distinct formula, term and type once, however often it is used.
+``_PROOF_FORMS`` declares the proof forms.  One reader (``_parse``) and one
+printer (``_write``, ``print_proof``) serve all of them.
+
+The reader makes one pass over the tokens with an explicit stack of open
+forms, so the depth of the text is not limited by Python's recursion limit.
+Each form is built when its closing parenthesis arrives: types, terms and
+formulas by their constructors, proofs through the kernel constructors, so
+a proof that parses has already been checked.  A proof writes the text of a
+formula out at every use, so the reader keeps a memo, for one call, of the
+values read from the arguments of proof, ``axiom`` and ``assume`` forms and
+of the lists up to two levels below them, keyed on their category and text:
+a text met again is not read again.  Deeper lists are not looked up, so
+each token is joined into a key at most four times and reading stays linear.
+The printer memoizes on identity for one call, so a proof writes out the
+text of each distinct formula, term and type once, however often it is used.
 
 A proof form may carry a label in the style of the Common Lisp reader
 (CLHS 2.4.8.15-16): ``#n=(form)`` defines label n and a later ``#n#``
@@ -18,6 +27,7 @@ stands for the same form, so a shared subproof is written and checked once.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 
 from .errors import ParseError
 from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
@@ -31,15 +41,112 @@ from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
 
 
 # ---------------------------------------------------------------------------
-# Reader
+# Tokens and labels
+
+
+_STEP = {"(": 1, ")": -1}  # the change of parenthesis depth at a token
 
 
 def _tokenize(text: str) -> list[str]:
     # Parentheses and maximal symbols; a comment runs from ';' to the line end.
-    return re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text))
+    if ";" in text:
+        text = re.sub(r";[^\n]*", "", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-_LABEL = r"#(\d+)([=#])"  # #n= defines label n, #n# uses it
+def _label(tok: str) -> tuple[int, str] | None:
+    """``(n, "=")`` for ``#n=``, which defines label n, and ``(n, "#")`` for
+    ``#n#``, which uses it."""
+    if tok[0] == "#" and tok[-1] in "=#" and tok[1:-1].isdecimal():
+        return int(tok[1:-1]), tok[-1]
+    return None
+
+
+def _depths(tokens: list[str]) -> list[int]:
+    """The parenthesis depth after each token of a text of one form.
+
+    Raises ``ParseError`` unless the tokens are exactly one form.
+    """
+    if not tokens:
+        raise ParseError("empty input")
+    if tokens[0] == ")":
+        raise ParseError("unexpected closing parenthesis")
+    depth = list(accumulate(map(_STEP.get, tokens, repeat(0))))
+    try:  # the form ends where the depth is 0 again, after a label on it
+        end = depth.index(0, 1 if tokens[0][-1] == "=" and _label(tokens[0])
+                          else 0)
+    except ValueError:
+        raise ParseError("unbalanced parenthesis") from None
+    if end != len(tokens) - 1:
+        raise ParseError("trailing input after the toplevel form")
+    return depth
+
+
+def _define(n: int, tokens: list[str], i: int, labels: dict, starts: dict,
+            proof: bool = True) -> None:
+    """Open label n, defined by ``tokens[i]``, on the list that follows.
+
+    Only proof forms other than ``assume`` take labels, so a label where no
+    proof can stand (``proof`` false) is refused too.
+    """
+    if n in labels:
+        raise ParseError(f"label #{n}= is defined twice")
+    if tokens[i + 1:i + 2] != ["("]:
+        raise ParseError(f"label #{n}= is not followed by a list")
+    if not proof or tokens[i + 2] not in _LABELLED_FORMS:
+        raise ParseError(f"label #{n}= is on {_show(tokens, i + 1, starts)}; "
+                         "only proof forms other than assume take labels")
+    labels[n] = None  # until the form is complete
+    starts[n] = i + 1
+
+
+def _use(n: int, labels: dict):
+    x = labels.get(n)
+    if x is None:
+        raise ParseError(f"#{n}# refers to a label that is "
+                         "undefined or whose form is not complete")
+    return x
+
+
+def _show(tokens: list[str], i: int, starts: dict, limit: int = 60) -> str:
+    """The text of the form at ``tokens[i]``, cut off after about ``limit``
+    characters, with each label use written out as the form it stands for.
+
+    ``starts`` gives the index of each label's form.  Through labels a form
+    can stand for a tree exponentially larger than its text, so an error
+    message never writes one out in full.
+    """
+    out: list[str] = []
+    size = depth = 0
+    back = []  # (index, depth) to go on from when a label's form is written
+    while size <= limit and i < len(tokens):
+        tok = tokens[i]
+        i += 1
+        m = _label(tok)
+        if m and m[1] == "=":
+            if tokens[i:i + 1] == ["("]:  # so each jump writes a token
+                starts.setdefault(m[0], i)
+            continue
+        if m and m[0] in starts:
+            back.append((i, depth))
+            i = starts[m[0]]
+            continue
+        if out and out[-1] != "(" and tok != ")":
+            out.append(" ")
+        out.append(tok)
+        size += len(tok) + 1
+        depth += _STEP.get(tok, 0)
+        while back and back[-1][1] == depth:
+            i = back.pop()[0]
+        if depth == 0 and not back:
+            return "".join(out)
+    return "".join(out) + " ..."
+
+
+def _brief(x, limit: int = 40) -> str:
+    """The printed text of ``x``, cut off after ``limit`` characters."""
+    text = print_form(x)
+    return text if len(text) <= limit else text[:limit] + " ..."
 
 
 def read_sexpr(text: str):
@@ -49,85 +156,28 @@ def read_sexpr(text: str):
     only name a proof form, and only once; a use must come after the end
     of the form, so the result has no cycle.
     """
-    return _read(_tokenize(text))[0]
-
-
-def _read(tokens: list[str]) -> tuple[object, bool]:
-    """The form of ``read_sexpr`` and whether its text defines a label."""
-    if not tokens:
-        raise ParseError("empty input")
-    stack: list[list] = []  # lists still open, innermost last
-    labels: dict[int, list | None] = {}  # None while the form is open
+    tokens = _tokenize(text)
+    _depths(tokens)
+    stack: list[list] = [[]]  # lists still open, innermost last
+    labels: dict[int, list | None] = {}
+    starts: dict[int, int] = {}
     opening: dict[int, int] = {}  # depth of an open labelled list: label
-    for i, tok in enumerate(tokens, 1):
+    for i, tok in enumerate(tokens):
         if tok == "(":
             stack.append([])
             continue
         if tok == ")":
-            if not stack:
-                raise ParseError("unexpected closing parenthesis")
-            if opening and len(stack) in opening:
-                n = opening.pop(len(stack))
-                head = stack[-1][0] if stack[-1] else None
-                if not (isinstance(head, str) and head in _LABELLED_FORMS):
-                    raise ParseError(f"label #{n}= is on {_show(stack[-1])}; "
-                                     "only proof forms other than assume "
-                                     "take labels")
-                labels[n] = stack[-1]
             tok = stack.pop()
-        elif tok[0] == "#" and (m := re.fullmatch(_LABEL, tok)):
-            n = int(m[1])
-            if m[2] == "=":
-                if n in labels:
-                    raise ParseError(f"label #{n}= is defined twice")
-                if tokens[i:i + 1] != ["("]:
-                    raise ParseError(f"label #{n}= is not followed by a list")
-                labels[n] = None
-                opening[len(stack) + 1] = n
+            if len(stack) in opening:
+                labels[opening.pop(len(stack))] = tok
+        elif tok[0] == "#" and (m := _label(tok)):
+            if m[1] == "=":
+                _define(m[0], tokens, i, labels, starts)
+                opening[len(stack)] = m[0]
                 continue
-            tok = labels.get(n)
-            if tok is None:
-                raise ParseError(f"#{n}# refers to a label that is "
-                                 "undefined or whose form is not complete")
-        if stack:
-            stack[-1].append(tok)
-        elif i < len(tokens):
-            raise ParseError("trailing input after the toplevel form")
-        else:
-            return tok, bool(labels)
-    raise ParseError("unbalanced parenthesis")
-
-
-def _show(form, limit: int = 60) -> str:
-    """The text of a read form, cut off after about ``limit`` characters.
-
-    Through labels a form can stand for a tree exponentially larger than
-    its text, so an error message never writes one out in full.
-    """
-    out: list[str] = []
-    n, stack = 0, [form]
-    while stack and n <= limit:
-        f = stack.pop()
-        if isinstance(f, list):
-            stack += [")", *reversed(f)]
-            f = "("
-        if out and out[-1] != "(" and f != ")":
-            out.append(" ")
-        out.append(f)
-        n += len(f) + 1
-    return "".join(out) + (" ..." if stack else "")
-
-
-def _brief(x, limit: int = 40) -> str:
-    """The printed text of ``x``, cut off after ``limit`` characters."""
-    text = print_form(x)
-    return text if len(text) <= limit else text[:limit] + " ..."
-
-
-def _expect_list(form, what: str) -> list:
-    if not isinstance(form, list) or not form:
-        raise ParseError(f"{what} form expected, got {_show(form)}")
-    return form
+            tok = _use(m[0], labels)
+        stack[-1].append(tok)
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,51 +227,12 @@ _READERS.update((("term", tag), (Const, ("type",) * arity))
                 for tag, (arity, _) in _CONST_SPECS.items())
 
 
-def _from_tree(form, category: str):
-    """Build the value of ``category`` that a read form writes.
-
-    One frame per level of the form: the arguments are read in a plain
-    loop, since a generator per node would double the frames.
-    """
-    form = _expect_list(form, category)
-    head, n = form[0], 1
-    if head == "axiom" and len(form) > 1 and isinstance(form[1], str):
-        head, n = f"axiom {form[1]}", 2  # an axiom's head is two symbols
-    row = _READERS.get((category, head)) if isinstance(head, str) else None
-    if row is None or len(form) != n + len(row[1]):
-        raise ParseError(f"unrecognized {category} form {_show(form)}")
-    cls, kinds = row
-    args = []
-    for a, kind in zip(form[n:], kinds):
-        if kind == "int":
-            try:
-                a = int(a)
-            except (TypeError, ValueError):
-                raise ParseError(f"expected an integer in the {category} "
-                                 f"form {_show(form)}, got {_show(a)}") \
-                    from None
-        elif kind != "str":
-            a = _from_tree(a, kind)
-        elif not isinstance(a, str):
-            raise ParseError(f"expected a symbol in the {category} form "
-                             f"{_show(form)}, got {_show(a)}")
-        args.append(a)
-    try:
-        if cls is Const:
-            return Const(head, tuple(args))
-        return Var(ObjVar(*args)) if cls is Var else cls(*args)
-    except TypeError:  # App and Atom check the types of their terms
-        types = ", ".join(_brief(t.ty) for t in args if isinstance(t, Term))
-        raise ParseError(f"ill-typed {category} form {_show(form)}: its "
-                         f"terms have types {types}") from None
-
-
 def _write(x, memo: dict) -> str:
     """The text of ``x``, which ``memo`` (texts by ``id``) does not hold.
 
-    Like ``_from_tree``, one frame per level; callers look in the memo
-    first, so a node already written costs no frame.  The memo lives for
-    one top-level call, so each distinct node is written once.
+    One frame per level; callers look in the memo first, so a node already
+    written costs no frame.  The memo lives for one top-level call, so each
+    distinct node is written once.
     """
     key = id(x)
     if type(x) is Var:
@@ -251,18 +262,6 @@ def print_form(x) -> str:
 print_type = print_term = print_formula = print_form
 
 
-def parse_type(text: str) -> ObjType:
-    return _from_tree(read_sexpr(text), "type")
-
-
-def parse_term(text: str) -> Term:
-    return _from_tree(read_sexpr(text), "term")
-
-
-def parse_formula(text: str) -> Formula:
-    return _from_tree(read_sexpr(text), "formula")
-
-
 # ---------------------------------------------------------------------------
 # Proofs
 
@@ -270,9 +269,7 @@ def parse_formula(text: str) -> Formula:
 # Inner proof forms by head symbol.  A form is the head, arguments of the
 # kinds ``before``, ``n`` subproofs, then arguments of the kinds ``after``;
 # it builds ``rule`` with parameters ``fixed`` and then the arguments.
-# Arguments before the subproofs are read on the way down and the rest on
-# the way up, so errors are reported in textual order.  ``print_proof``
-# writes the same forms.
+# ``print_proof`` writes the same forms.
 _PROOF_FORMS = {  # tag: (rule, fixed, before, n, after)
     "pair-pf": ("and_intro", (), (), 2, ()),
     "proj0": ("proj", (0,), (), 1, ()),
@@ -282,93 +279,216 @@ _PROOF_FORMS = {  # tag: (rule, fixed, before, n, after)
     "inst": ("all_elim", (), (), 1, ("term",)),
     "gen": ("all_intro", (), ("variable",), 1, ()),
 }
-_NO_FORM = (None, (), (), -1, ())  # matches no form length
 _PROOF_TAGS = {(rule, fixed): tag
                for tag, (rule, fixed, *_) in _PROOF_FORMS.items()}
-# Only these forms take labels, so the reader of formulas, terms, types and
-# assumptions, which does not memoize, never looks below the head of a
-# shared list.
+# Only these forms take labels: a label names a shared subproof.
 _LABELLED_FORMS = {*_PROOF_FORMS, "axiom"}
 
 
-def proof_from_tree(form, th: TheoryId, supply: NameSupply | None = None,
-                    max_size: int | None = None) -> Proof:
-    """Build the proof through the kernel; kernel errors propagate.
+# ---------------------------------------------------------------------------
+# The reader
 
-    A form used through labels is built once.  With ``max_size``, a
-    conclusion that has more nodes, written out with its terms, is refused.
+
+# Every form the reader builds: (category, head): (class or proof tag, kind
+# of each argument).  Where a proof stands, an assume or axiom form is read
+# as an assumption or axiom and made a leaf of the proof.
+_FORMS = {**_READERS, **{
+    ("proof", tag): (tag, (*before, *("proof",) * n, *after))
+    for tag, (_, _, before, n, after) in _PROOF_FORMS.items()}}
+_LEAVES = {"assume": "assumption", "axiom": "axiom"}
+# The value of each form without arguments, which the reader takes as it is.
+_NULLARY = {(c, head): Const(head, ()) if cls is Const else cls()
+            for (c, head), (cls, kinds) in _READERS.items() if not kinds}
+_WHAT = {"str": "a symbol", "int": "an integer"}
+_MEMO_LEVELS = 3  # an argument and the lists one and two levels below it
+# The lists in these forms are arguments of a proof, axiom or assume form.
+_RESTART = {"proof", "assumption", "axiom"}
+
+
+class _Open:
+    """A form that the reader has opened and not yet closed."""
+
+    __slots__ = ("kind", "head", "cls", "kinds", "start", "key", "proof",
+                 "label", "level", "args")
+
+    def __init__(self, kind, head, row, start, key, proof, label, level):
+        self.kind = kind  # its category
+        self.head = head  # its head, two symbols for an axiom
+        self.cls, self.kinds = row  # its row of _FORMS
+        self.start = start  # index of its opening parenthesis
+        self.key = key  # its memo key, if its value is to be kept
+        self.proof = proof  # whether it stands where a proof stands
+        self.label = label  # the label it defines, if any
+        self.level = level  # memo level of the lists in it
+        self.args: list = []
+
+
+def _parse(text: str, category: str, th: TheoryId | None = None,
+           supply: NameSupply | None = None):
+    """Build the value of ``category`` that ``text`` writes, in one pass.
+
+    Proofs go through the kernel constructors; kernel errors propagate.  A
+    form used through labels is built once.  Through labels a few lines of
+    text can double a conclusion on each line, so a labelled text may not
+    have a conclusion with more nodes, written out with its terms, than the
+    square of its token count.  Tree-form text is not bounded.
     """
+    tokens = _tokenize(text)
+    depth = _depths(tokens)
     if supply is None:
         supply = NameSupply()
-    early = {}  # arguments read on the way down, by id of their form
-    sizes = {}  # written-out size of each formula and term node met
-    assumed = {}  # (name, index): the last assume form read and its value
+    bound = len(tokens) ** 2 if "#" in text and any(
+        t[-1] == "=" and _label(t) for t in tokens) else None
+    sizes: dict = {}  # written-out size of each formula and term node met
+    memo: dict = {}  # value by category and text, of the texts looked up
+    labels: dict[int, Proof | None] = {}
+    starts: dict[int, int] = {}  # index of each label's form, for quotes
+    label = None  # the label defined just before the next list
+    root = _Open(category, None, (None, (category,)), 0, None, False, None, 0)
+    stack = [root]  # forms still open, innermost last
 
-    def read(form, category: str):
-        # A proof repeats an assumption's formula at every use, so an assume
-        # form equal to the last one read under its name and index is not
-        # read again.
-        if category != "assumption" or not (
-                isinstance(form, list) and len(form) == 4
-                and isinstance(form[1], str) and isinstance(form[2], str)):
-            return _from_tree(form, category)
-        last = assumed.get((form[1], form[2]))
-        if last is None or last[0] != form:
-            last = assumed[form[1], form[2]] = \
-                form, _from_tree(form, category)
-        return last[1]
+    def unrecognized(kind: str, start: int) -> ParseError:
+        return ParseError(f"unrecognized {kind} form "
+                          f"{_show(tokens, start, starts)}")
 
-    def children(form) -> list:
-        form = _expect_list(form, "proof")
-        tag = form[0]
-        if tag in ("assume", "axiom"):
-            return []
-        _, _, before, n, after = _PROOF_FORMS.get(
-            tag if isinstance(tag, str) else None, _NO_FORM)
-        if len(form) != 1 + len(before) + n + len(after):
-            raise ParseError(f"unrecognized proof form {_show(form)}")
-        if before:
-            early[id(form)] = tuple(
-                read(a, k) for k, a in zip(before, form[1:]))
-        return form[1 + len(before):1 + len(before) + n]
+    def wrong(f: _Open, want: str, i: int) -> ParseError:
+        got = _show(tokens, i, starts)
+        if want not in _WHAT:
+            return ParseError(f"{want} form expected, got {got}")
+        return ParseError(f"expected {_WHAT[want]} in the {f.kind} form "
+                          f"{_show(tokens, f.start, starts)}, got {got}")
 
-    def construct(form, kids) -> Proof:
-        match form[0]:
-            case "assume":
-                m = assume(read(form, "assumption"))
-            case "axiom":
-                m = axiom(read(form, "axiom"), th, supply)
-            case tag:
-                rule, params, before, _, after = _PROOF_FORMS[tag]
-                if before:
-                    params += early.pop(id(form))
-                if after:
-                    params += tuple(
-                        read(a, k) for k, a in zip(after, form[-len(after):]))
-                m = build(rule, kids, params, supply)
-        # Recurses only into nodes not measured yet, which the recursive
-        # reader or substitution has just built: no deeper than it went.
-        if max_size is not None and \
-                (n := written_size(m.conclusion, sizes)) > max_size:
-            raise ParseError(f"the {form[0]} form's conclusion has {n} "
-                             f"nodes written out, more than {max_size}")
-        return m
+    def proved(x, tag: str, label: int | None) -> Proof:
+        # The proof of a form whose head is tag, checked and labelled.
+        if type(x) is AssumptionVar:
+            x = assume(x)
+        elif not isinstance(x, Proof):
+            x = axiom(x, th, supply)
+        if bound is not None and \
+                (n := written_size(x.conclusion, sizes)) > bound:
+            raise ParseError(f"the {tag} form's conclusion has {n} nodes "
+                             f"written out, more than {bound}")
+        if label is not None:
+            labels[label] = x
+        return x
 
-    return map_proof(form, construct, children)
+    i, count = 0, len(tokens)
+    while i < count:
+        tok = tokens[i]
+        i += 1
+        f = stack[-1]
+        args = f.args
+        if tok == ")":
+            if len(args) != len(f.kinds):
+                raise unrecognized(f.kind, f.start)
+            stack.pop()
+            cls = f.cls
+            if f.kind == "proof":
+                rule, fixed, before, n, _ = _PROOF_FORMS[cls]
+                b = len(before)
+                x = build(rule, args[b:b + n],
+                          (*fixed, *args[:b], *args[b + n:]), supply)
+            else:
+                try:
+                    if cls is Const:
+                        x = Const(f.head, tuple(args))
+                    else:
+                        x = Var(ObjVar(*args)) if cls is Var else cls(*args)
+                except TypeError:  # App and Atom check the types of terms
+                    types = ", ".join(_brief(t.ty) for t in args
+                                      if isinstance(t, Term))
+                    raise ParseError(
+                        f"ill-typed {f.kind} form "
+                        f"{_show(tokens, f.start, starts)}: its terms have "
+                        f"types {types}") from None
+                if f.key is not None:
+                    memo[f.key] = x
+            if f.proof:
+                x = proved(x, tokens[f.start + 1], f.label)
+            stack[-1].args.append(x)
+            continue
+        try:
+            want = f.kinds[len(args)]
+        except IndexError:
+            raise unrecognized(f.kind, f.start) from None
+        if tok == "(":
+            start = i - 1
+            at_proof = want == "proof"
+            if at_proof:
+                want = _LEAVES.get(tokens[i], want)
+            elif want in _WHAT:
+                raise wrong(f, want, start)
+            head = tokens[i]
+            if head == "axiom":  # an axiom's head is two symbols
+                head = f"axiom {tokens[i + 1]}"
+            row = _FORMS.get((want, head))
+            if row is None:
+                raise unrecognized(want, start)
+            i += 2 if tokens[i] == "axiom" else 1
+            if tokens[i] == ")" and \
+                    (x := _NULLARY.get((want, head))) is not None:
+                if at_proof:
+                    x = proved(x, tokens[start + 1], label)
+                    label = None
+                args.append(x)
+                i += 1
+                continue
+            key = None
+            if label is None and want != "proof" and f.level < _MEMO_LEVELS:
+                end = depth.index(depth[start] - 1, i)
+                key = want + " ".join(tokens[start:end + 1])
+                if "#" in key:
+                    key = None
+                elif (x := memo.get(key)) is not None:
+                    if at_proof:
+                        x = proved(x, tokens[start + 1], None)
+                    args.append(x)
+                    i = end + 1
+                    continue
+            stack.append(_Open(want, head, row, start, key, at_proof, label,
+                               0 if want in _RESTART else f.level + 1))
+            label = None
+        elif tok[0] == "#" and (m := _label(tok)):
+            if m[1] == "=":
+                label = m[0]
+                _define(label, tokens, i - 1, labels, starts, want == "proof")
+                continue
+            x = _use(m[0], labels)
+            if want != "proof":
+                raise wrong(f, want, i - 1)
+            args.append(x)
+        elif want == "str":
+            args.append(tok)
+        elif want != "int":
+            raise wrong(f, want, i - 1)
+        else:
+            try:
+                args.append(int(tok))
+            except ValueError:
+                raise wrong(f, want, i - 1) from None
+    return root.args[0]
+
+
+def parse_type(text: str) -> ObjType:
+    return _parse(text, "type")
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, "term")
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse(text, "formula")
 
 
 def parse_proof(text: str, th: TheoryId,
                 supply: NameSupply | None = None) -> Proof:
-    """Read and build a proof.
+    """Read and build a proof; see ``_parse``."""
+    return _parse(text, "proof", th, supply)
 
-    Through labels a few lines of text can double a conclusion on each
-    line, so a labelled text may not have a conclusion with more nodes than
-    the square of its token count.  Tree-form text is not bounded.
-    """
-    tokens = _tokenize(text)
-    form, labelled = _read(tokens)
-    return proof_from_tree(form, th, supply,
-                           len(tokens) ** 2 if labelled else None)
+
+# ---------------------------------------------------------------------------
+# Printer
 
 
 def print_proof(m: Proof) -> str:

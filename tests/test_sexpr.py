@@ -1,7 +1,9 @@
 """Round-trips and error reporting for the S-expression layer."""
 
+import re
 import sys
 import time
+from contextlib import contextmanager
 from hashlib import sha256
 
 import pytest
@@ -461,3 +463,114 @@ def test_malformed_formula_file_exits_2(tmp_path, capsys):
     assert main(["classify", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse-error") and "formula" in err
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader
+
+
+def regex_tokens(text: str) -> list[str]:
+    # The regular-expression tokenizer the reader used before, as an oracle.
+    return re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text))
+
+
+def test_tokenizer_matches_regex_oracle():
+    texts = [e["text"] for e in load_manifest()]
+    texts += [print_proof(gen_proof(seed, 12, NameSupply(10_000)))
+              for seed in range(100)]
+    texts += ["(a ; a comment (with parens\n b)", "; only a comment",
+              "(a;b\n)c", "(x) ; (y)\r\n", "(a\t(b\r\nc)\x0bd\x0c)",
+              "((a)(b))", "( a b\x1c)", "(a #0=(b) #0#)", "",
+              "(p\r(q\t\tr))\r\n;;\n"]
+    for text in texts:
+        assert sexpr._tokenize(text) == regex_tokens(text)
+
+
+@contextmanager
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def chain_text(depth: int) -> str:
+    # A right-nested implication of depth + 1 atoms, written out.
+    return "(imp (atom (tt)) " * depth + "(atom (tt))" + ")" * depth
+
+
+def test_parse_formula_reads_a_100k_deep_chain():
+    text = chain_text(100_000)
+    with default_recursion_limit():
+        a = parse_formula(text)
+    assert a is imp(*[TRUTH] * 100_001)
+
+
+def test_20k_deep_assumption_parses_and_rechecks():
+    f = chain_text(20_000)
+    text = f"(lam-pf (assume u 0 {f}) (assume u 0 {f}))"
+    with default_recursion_limit():
+        p = parse_proof(text, TheoryId.NA)
+        recheck(p)
+        # Each chain: 20,001 atoms over (tt) and 20,000 implications.
+        assert written_size(p.conclusion, {}) == 120_005
+        with pytest.raises(ShapeError, match="<Imp of 120005 nodes>"):
+            parse_proof(f"(proj0 {text})", TheoryId.NA)
+    a = imp(*[TRUTH] * 20_001)
+    assert p.conclusion is Imp(a, a)
+
+
+def test_deep_argument_is_read_in_linear_time():
+    # Lists more than two levels below an argument are not looked up, so
+    # a deep formula is not joined into a key at every level.
+    text = f"(assume u 0 {chain_text(50_000)})"
+    start = time.process_time()
+    p = parse_proof(text, TheoryId.NA)
+    assert time.process_time() - start < 1.0
+    assert p.conclusion is imp(*[TRUTH] * 50_001)
+
+
+def test_one_text_is_read_by_its_category():
+    x = "(var x 0 (bool))"
+    p = parse_proof(f"(inst (gen {x} (axiom truth)) {x})", TheoryId.NA)
+    v, = p.children[0].params
+    t, = p.params
+    assert type(v) is ObjVar and type(t) is Var and t.var is v
+
+
+def test_repeated_argument_text_is_read_once(monkeypatch):
+    opened = []
+
+    class Counting(sexpr._Open):
+        __slots__ = ()
+
+        def __init__(self, kind, *args):
+            opened.append(kind)
+            super().__init__(kind, *args)
+
+    monkeypatch.setattr(sexpr, "_Open", Counting)
+    a = "(assume u 0 (imp (atom (var x 0 (bool))) (and (bot) (bot))))"
+    p = parse_proof(f"(lam-pf {a} (pair-pf {a} {a}))", TheoryId.MA)
+    # The root, lam-pf, its assumption and the formulas in it, pair-pf; the
+    # two assume leaves are found in the memo, (bool) and (bot) in a table.
+    assert opened == ["proof", "proof", "assumption", "formula", "formula",
+                      "term", "formula", "proof"]
+    u, = p.params
+    assert all(leaf.params == (u,) for leaf in p.children[0].children)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_formula, "(frob #0= #0#)"),
+    (parse_formula, "(frob #0=(bot) #0# #0#)"),
+    (parse_proof, "(qed #1=(pair-pf #1# #1#))"),
+    (parse_proof, "(proj0 #1=(pair-pf #1# #1#) (axiom truth))"),
+], ids=["not-a-list", "on-formula", "cycle", "cycle-in-arity"])
+def test_error_quotes_of_malformed_labels_are_brief(parse, text):
+    # The quote writes a label's form out where it is used, so a label on
+    # no list, or used inside its own form, must not make it run on.
+    args = (TheoryId.NA,) if parse is parse_proof else ()
+    with pytest.raises(ParseError) as e:
+        parse(text, *args)
+    assert len(str(e.value)) < 200

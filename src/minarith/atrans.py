@@ -16,7 +16,7 @@ from .kernel import (ExIntro, Proof, all_elim, all_intro, assume, axiom,
                      fresh_assumption, imp_elim, imp_elims, imp_intro)
 from .syntax import NameSupply, Node, ObjVar, Var, node
 from .derived import subst_bot_proof
-from .classes import ClassId, certify, classify
+from .classes import ClassId, certify
 
 
 @node
@@ -40,7 +40,8 @@ def _premise_shape(m: Proof) -> tuple[Formula, Formula, ObjVar]:
         "premise conclusion must have the shape D -> (forall x (G -> bot)) -> bot")
 
 
-def _validate(inp: TranslationInput) -> None:
+def _validate(inp: TranslationInput) -> tuple[Formula, Formula]:
+    """Check the input; return D^F and G^F."""
     if inp.premise_proof.free_assumptions:
         raise ShapeError("the premise proof must be closed")
     if not theory_leq(inp.premise_proof.min_theory, TheoryId.MA):
@@ -61,6 +62,7 @@ def _validate(inp: TranslationInput) -> None:
     if not alpha_eq_formula(inp.cert_G.conclusion, want_g):
         raise CertificateError(
             f"goal certificate must conclude {brief_repr(want_g)}")
+    return df, gf
 
 
 def refined_a_translate(inp: TranslationInput,
@@ -68,10 +70,8 @@ def refined_a_translate(inp: TranslationInput,
     """Closed HA proof of D^F -> exists x G^F."""
     if supply is None:
         supply = NameSupply()
-    _validate(inp)
-    d, g, x = inp.D, inp.G, inp.x
-    df = subst_bot_falsity(d)
-    gf = subst_bot_falsity(g)
+    df, gf = _validate(inp)
+    g, x = inp.G, inp.x
 
     # Step 1: the MA proof of (4.1), D^F -> (forall x (G^F -> bot)) -> bot.
     u = fresh_assumption("u", df, supply)
@@ -104,13 +104,14 @@ def a_translate_classified(d: Formula, g: Formula, x: ObjVar,
     """Run the pipeline with certificates synthesized from the classes."""
     if supply is None:
         supply = NameSupply()
-    if not classify(d).in_D:
-        raise ClassError("the premise formula is not definite")
-    if not classify(g).in_G:
-        raise ClassError("the goal formula is not a goal formula")
     cert_d = certify(d, ClassId.DEFINITE, supply)
+    if cert_d is None:
+        raise ClassError("the premise formula is not definite")
+    cert_g = certify(g, ClassId.GOAL, supply)
+    if cert_g is None:
+        raise ClassError("the goal formula is not a goal formula")
     # The synthesized certificate is closed, so it generalizes over x.
-    cert_g = all_intro(x, certify(g, ClassId.GOAL, supply))
+    cert_g = all_intro(x, cert_g)
     inp = TranslationInput(premise_proof, d, g, x, cert_d, cert_g)
     return refined_a_translate(inp, supply)
 

@@ -1,12 +1,23 @@
 """Definite / goal / relevant / irrelevant formula classes with certificates.
 
-Membership is decided by structural recursion; for every member a closed MA
+Membership is decided by one structural fold; for every member a closed MA
 proof of the class's characteristic property can be synthesized:
 
     definite    D:  D^F -> D
     goal        G:  G -> (G^F -> bot) -> bot
     relevant    R:  (not R^F -> bot) -> R
     irrelevant  I:  I -> I^F
+
+Q is the atoms closed under implication, conjunction and Boolean
+quantifiers; a formula is in QF when its A^F is in Q, that is, when bottom
+counts as an atom.
+
+``forall x B`` is a goal formula when ``B`` is irrelevant, or when ``x`` is
+boolean and ``B`` is a goal formula.  The definition asks instead that both
+instances ``B[x := tt]`` and ``B[x := ff]`` be goal formulas, and the two
+agree: every flag is a positive combination of which atoms are literally
+``tt``, so putting ``ff`` for ``x`` keeps the flags of ``B`` and putting
+``tt`` for ``x`` can only add to them.
 
 The classes are deliberate under-approximations; no recursive procedure can
 capture all formulas with these properties.
@@ -18,12 +29,11 @@ import enum
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
-                      TheoryId, Or, Ex, in_language, neg,
-                      subst_bot_falsity, subst_formula_var)
+                      TheoryId, in_language, neg, subst_bot_falsity)
 from .kernel import (BoolCases, BotPlus, Proof, Truth, all_elim, all_intro,
                      and_intro, assume, axiom, fresh_assumption, imp_elim,
-                     imp_elims, imp_intro, proj)
-from .syntax import BOOL, Const, NameSupply, Node, Var
+                     imp_elims, imp_intro, map_proof, proj)
+from .syntax import BOOL, FF, TT, NameSupply, Node, Var
 from .derived import prove_case_distinction, prove_efq
 
 
@@ -62,33 +72,62 @@ class ClassReport:
 # Membership
 
 
-def in_Q(a: Formula) -> bool:
-    """Atoms closed under implication, conjunction, and booleans quantifiers.
-
-    ``forall x B`` is in Q when ``B[x := tt]`` and ``B[x := ff]`` are, which
-    holds exactly when ``B`` is: putting a constant in for ``x`` changes
-    atom payloads only.
-    """
+def _subformulas(a: Formula) -> tuple[Formula, ...]:
     match a:
-        case Atom():
-            return True
+        case Imp(p, c) | And(p, c):
+            return (p, c)
+        case All(_, b):
+            return (b,)
+    return ()
+
+
+def _flag_rule(a: Formula, kids) -> tuple[bool, ...]:
+    """The flags of ``a`` from those of its immediate subformulas."""
+    match a:
         case Bot():
-            return False
-        case Imp(p, c):
-            return in_Q(p) and in_Q(c)
-        case And(l, r):
-            return in_Q(l) and in_Q(r)
-        case All(x, b):
-            return x.ty == BOOL and in_Q(b)
-        case Or() | Ex():
-            return False
-    raise ValueError(f"unexpected formula {a!r}")
+            return (False, True, True, True, True, False)
+        case Atom(t):
+            return (True, True, True, True, t == TT, True)
+        case Imp():
+            (pq, pqf, pd, pg, pr, pi), (cq, cqf, cd, cg, cr, ci) = kids
+            return (pq and cq, pqf and cqf, (pi and cd) or (pg and cr),
+                    ((pr or (pd and pqf)) and cg) or (pd and ci),
+                    pg and cr, pd and ci)
+        case And():
+            return tuple(x and y for x, y in zip(*kids))
+        case All(x, _):
+            (bq, bqf, bd, bg, br, bi), = kids
+            boolean = x.ty == BOOL
+            return (boolean and bq, boolean and bqf, bd or br,
+                    bi or (boolean and bg), br, bi)
+    return (False,) * 6  # or / exists: outside MA, so in no class
+
+
+def _flags(a: Formula, memo: dict) -> tuple[bool, ...]:
+    """The six flags of ``a`` in ``ClassId`` order, by a post-order fold.
+
+    ``memo`` lives for one ``classify`` or ``certify`` call and is keyed on
+    the node, so the flags of every subformula are there once ``a``'s are.
+    """
+    hit = memo.get(a)
+    if hit is None:
+        def visit(b: Formula, kids) -> tuple[bool, ...]:
+            out = memo[b] = _flag_rule(b, kids)
+            return out
+
+        hit = map_proof(a, visit, _subformulas)
+    return hit
+
+
+def in_Q(a: Formula) -> bool:
+    """Atoms closed under implication, conjunction and Boolean quantifiers."""
+    return _flags(a, {})[0]
 
 
 def in_QF(a: Formula) -> bool:
     if not in_language(a, TheoryId.MA):
         raise LanguageError("class membership is defined on MA formulas")
-    return in_Q(subst_bot_falsity(a))
+    return _flags(a, {})[1]
 
 
 def _falsity(a: Formula, memo: dict) -> Formula:
@@ -100,55 +139,10 @@ def _falsity(a: Formula, memo: dict) -> Formula:
     return af
 
 
-def _flags(a: Formula, memo: dict) -> tuple[bool, bool, bool, bool]:
-    """(definite, goal, relevant, irrelevant) per the mutual recursion.
-
-    ``memo`` lives for one ``classify`` or ``certify`` call and is keyed on
-    the node.  It matters at Bool quantifiers, whose goal flag needs
-    both instances of the body: an instance shares the untouched
-    subformulas of the body, so each is classified once rather than once
-    per enclosing quantifier.
-    """
-    hit = memo.get(a)
-    if hit is not None:
-        return hit
-    match a:
-        case Bot():
-            out = (True, True, True, False)
-        case Atom(t):
-            out = (True, True, t == Const("tt"), True)
-        case Imp(p, c):
-            pd, pg, pr, pi = _flags(p, memo)
-            cd, cg, cr, ci = _flags(c, memo)
-            d = (pi and cd) or (pg and cr)
-            g = (((pr or (pd and in_Q(_falsity(p, memo)))) and cg)
-                 or (pd and ci))
-            r = pg and cr
-            i = pd and ci
-            out = (d, g, r, i)
-        case And(l, r_):
-            fl = _flags(l, memo)
-            fr = _flags(r_, memo)
-            out = tuple(x and y for x, y in zip(fl, fr))
-        case All(x, b):
-            bd, bg, br, bi = _flags(b, memo)
-            g = bi
-            if not g and x.ty == BOOL:
-                g = _flags(subst_formula_var(b, x, Const("tt")), memo)[1] \
-                    and _flags(subst_formula_var(b, x, Const("ff")), memo)[1]
-            out = (bd or br, g, br, bi)
-        case _:
-            raise ValueError(f"unexpected formula {a!r}")
-    memo[a] = out
-    return out
-
-
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
     if not in_language(a, TheoryId.MA):
         raise LanguageError("class membership is defined on MA formulas")
-    d, g, r, i = _flags(a, {})
-    report = ClassReport(in_Q=in_Q(a), in_QF=in_QF(a), in_D=d, in_G=g,
-                         in_R=r, in_I=i)
+    report = ClassReport(*_flags(a, {}))
     if with_certificates:
         for c in ClassId:
             cert = certify(a, c)
@@ -161,6 +155,9 @@ def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
 # Certificate synthesis
 
 
+_MA = TheoryId.MA
+
+
 def certify(a: Formula, c: ClassId,
             supply: NameSupply | None = None) -> Proof | None:
     """Closed MA proof of the class property of ``a``, if ``a`` is in ``c``."""
@@ -168,49 +165,39 @@ def certify(a: Formula, c: ClassId,
         raise LanguageError("class membership is defined on MA formulas")
     if supply is None:
         supply = NameSupply()
-    if c == ClassId.Q:
-        if not in_Q(a):
-            return None
-        return prove_case_distinction(a, BOT, TheoryId.MA, supply)
-    if c == ClassId.QF:
-        af = subst_bot_falsity(a)
-        if not in_Q(af):
-            return None
-        return prove_case_distinction(af, BOT, TheoryId.MA, supply)
-    index = {ClassId.DEFINITE: 0, ClassId.GOAL: 1, ClassId.RELEVANT: 2,
-             ClassId.IRRELEVANT: 3}[c]
-    # certificates under (formula, class), A^F under (formula, "F"), flags
-    # under the formula
+    # flags under the formula, A^F under (formula, "F"), certificates under
+    # (formula, class)
     memo: dict = {}
-    if not _flags(a, memo)[index]:
+    if not ClassReport(*_flags(a, memo)).flag(c):
         return None
+    if c == ClassId.Q:
+        return prove_case_distinction(a, BOT, _MA, supply)
+    if c == ClassId.QF:
+        return prove_case_distinction(_falsity(a, memo), BOT, _MA, supply)
     return _cert(a, c, supply, memo)
-
-
-_MA = TheoryId.MA
 
 
 def _cert(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
     key = (a, c)
-    if key not in memo:
-        memo[key] = _cert_build(a, c, supply, memo)
-    return memo[key]
-
-
-def _cert_build(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
+    out = memo.get(key)
+    if out is not None:
+        return out
     af = _falsity(a, memo)
     match a:
         case Bot():
-            return _cert_bot(c, supply)
+            out = _cert_bot(c, supply)
         case Atom():
-            return _cert_atom(a, c, supply)
+            out = _cert_atom(a, c, supply)
         case Imp(p, q):
-            return _cert_imp(a, p, q, af, c, supply, memo)
+            out = _cert_imp(a, p, q, af, c, supply, memo)
         case And(l, r):
-            return _cert_and(a, l, r, af, c, supply, memo)
+            out = _cert_and(a, l, r, af, c, supply, memo)
         case All(x, b):
-            return _cert_all(a, x, b, af, c, supply, memo)
-    raise ValueError(f"unexpected formula {a!r}")
+            out = _cert_all(a, x, b, af, c, supply, memo)
+        case _:
+            raise ValueError(f"unexpected formula {a!r}")
+    memo[key] = out
+    return out
 
 
 def _cert_bot(c: ClassId, supply: NameSupply) -> Proof:
@@ -243,8 +230,8 @@ def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
 
 
 def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
-    pd, pg, pr, pi = _flags(p, memo)
-    qd, qg, qr, qi = _flags(q, memo)
+    _, pqf, pd, pg, pr, pi = _flags(p, memo)
+    _, _, qd, qg, qr, qi = _flags(q, memo)
     pf = _falsity(p, memo)
     qf = _falsity(q, memo)
 
@@ -292,7 +279,7 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
             body = imp_elim(imp_elim(ih_q, imp_elim(assume(u), have_p)),
                             qf_bot)
             return imp_intro(u, imp_intro(v, body))
-        if pd and in_Q(pf) and qg:
+        if pd and pqf and qg:
             efq_qf = prove_efq(qf, _MA, supply)
             ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
             ih_q = _cert(q, ClassId.GOAL, supply, memo)
@@ -397,7 +384,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
         body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
-        if _flags(b, memo)[3]:
+        if _flags(b, memo)[5]:
             # body irrelevant
             ih = _cert(b, ClassId.IRRELEVANT, supply, memo)
             u = fresh_assumption("u", a, supply)
@@ -405,23 +392,22 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
             gen = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x),
                                                      supply)))
             return imp_intro(u, imp_intro(v, imp_elim(assume(v), gen)))
-        # boolean quantifier: reduce to the conjunction of both instances
-        b_tt = subst_formula_var(b, x, Const("tt"), supply)
-        b_ff = subst_formula_var(b, x, Const("ff"), supply)
-        conj = And(b_tt, b_ff)
-        conjf = _falsity(conj, memo)
-        cert_conj = _cert(conj, ClassId.GOAL, supply, memo)
+        # boolean quantifier, goal body: each instance of the body's
+        # certificate, B[t] -> (B^F[t] -> bot) -> bot, refutes B^F[t] -> bot
+        gen = all_intro(x, _cert(b, ClassId.GOAL, supply, memo))
+        at_tt = all_elim(gen, TT, supply)
+        at_ff = all_elim(gen, FF, supply)
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
-        e1 = and_intro(all_elim(assume(u), Const("tt"), supply),
-                       all_elim(assume(u), Const("ff"), supply))
-        p = fresh_assumption("p", conjf, supply)
+        p_tt = fresh_assumption("p", at_tt.conclusion.concl.prem.prem, supply)
+        p_ff = fresh_assumption("p", at_ff.conclusion.concl.prem.prem, supply)
         cases_f = axiom(BoolCases(x, bf), _MA, supply)
         gen_f = all_intro(x, imp_elims(all_elim(cases_f, Var(x), supply),
-                                       proj(0, assume(p)),
-                                       proj(1, assume(p))))
-        conjf_bot = imp_intro(p, imp_elim(assume(v), gen_f))
-        body = imp_elim(imp_elim(cert_conj, e1), conjf_bot)
+                                       assume(p_tt), assume(p_ff)))
+        ff_bot = imp_intro(p_ff, imp_elim(assume(v), gen_f))
+        tt_bot = imp_intro(p_tt, imp_elims(
+            at_ff, all_elim(assume(u), FF, supply), ff_bot))
+        body = imp_elims(at_tt, all_elim(assume(u), TT, supply), tt_bot)
         return imp_intro(u, imp_intro(v, body))
     if c == ClassId.RELEVANT:
         ih = _cert(b, ClassId.RELEVANT, supply, memo)

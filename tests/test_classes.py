@@ -1,5 +1,6 @@
 """Definition 3.5 classifiers and certificate synthesis."""
 
+import random
 import sys
 import time
 from collections import Counter
@@ -10,11 +11,11 @@ from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
                       Imp, NameSupply, ObjVar, TheoryId, TRUTH, TT, Var,
                       alpha_eq_formula, certify, classify, format_report,
                       formula_size, gen_formula, imp, in_Q, in_QF, neg,
-                      recheck, subst_bot_falsity, subst_formula_var,
+                      app, recheck, subst_bot_falsity, subst_formula_var,
                       theory_leq)
 from minarith import classes
 from minarith.errors import LanguageError
-from minarith.formula import All, And, Atom
+from minarith.formula import All, And, Atom, Bot
 from minarith.syntax import BOOL, NAT
 
 from conftest import remark_st_formula, remark_st_proof
@@ -102,6 +103,114 @@ class TestQ:
         monkeypatch.setattr(classes, "subst_bot_falsity", counted)
         assert certify(a, ClassId.GOAL) is not None
         assert calls and max(calls.values()) == 1
+
+
+# The definition by instances, written apart from ``classes``: a Boolean
+# forall x B is a goal formula when B is irrelevant or both B[x := tt] and
+# B[x := ff] are goal formulas, and A is in QF when A^F is in Q.
+
+
+def _ref_in_q(a):
+    match a:
+        case Atom():
+            return True
+        case Imp(p, c) | And(p, c):
+            return _ref_in_q(p) and _ref_in_q(c)
+        case All(x, b):
+            return x.ty == BOOL and _ref_in_q(b)
+    return False
+
+
+def _ref_flags(a, memo):
+    """(Q, QF, D, G, R, I) of ``a``, memoized on the node."""
+    hit = memo.get(a)
+    if hit is not None:
+        return hit
+    match a:
+        case Bot():
+            d, g, r, i = True, True, True, False
+        case Atom(t):
+            d, g, r, i = True, True, t == TT, True
+        case Imp(p, c):
+            pd, pg, pr, pi = _ref_flags(p, memo)[2:]
+            cd, cg, cr, ci = _ref_flags(c, memo)[2:]
+            pqf = _ref_in_q(subst_bot_falsity(p))
+            d = (pi and cd) or (pg and cr)
+            g = ((pr or (pd and pqf)) and cg) or (pd and ci)
+            r, i = pg and cr, pd and ci
+        case And(left, right):
+            d, g, r, i = (x and y for x, y in zip(_ref_flags(left, memo)[2:],
+                                                  _ref_flags(right, memo)[2:]))
+        case All(x, b):
+            bd, _, br, bi = _ref_flags(b, memo)[2:]
+            g = bi or (x.ty == BOOL and all(
+                _ref_flags(subst_formula_var(b, x, t), memo)[3]
+                for t in (TT, FF)))
+            d, r, i = bd or br, br, bi
+    out = memo[a] = (_ref_in_q(a), _ref_in_q(subst_bot_falsity(a)),
+                     d, g, r, i)
+    return out
+
+
+CASES = Const("cases", (BOOL,))
+
+
+def _random_ma(rng, size):
+    """An MA formula whose binders draw from two indices, so they clash."""
+    if size <= 1:
+        k = rng.random()
+        x = ObjVar("x", rng.randrange(2), BOOL)
+        if k < 0.35:
+            return BOT
+        if k < 0.75:
+            return Atom(Var(x))
+        if k < 0.85:
+            return Atom(app(CASES, Var(x), TT, FF))
+        return Atom(rng.choice((TT, FF)))
+    if size < 3 or rng.random() < 0.35:
+        ty = NAT if rng.random() < 0.2 else BOOL
+        return All(ObjVar("x", rng.randrange(2), ty), _random_ma(rng, size - 1))
+    split = rng.randint(1, size - 2)
+    op = Imp if rng.random() < 0.9 else And
+    return op(_random_ma(rng, split), _random_ma(rng, size - 1 - split))
+
+
+def _bool_quantifiers(a):
+    match a:
+        case Imp(p, c) | And(p, c):
+            yield from _bool_quantifiers(p)
+            yield from _bool_quantifiers(c)
+        case All(x, b):
+            if x.ty == BOOL:
+                yield a
+            yield from _bool_quantifiers(b)
+
+
+class TestDefinitionByInstances:
+    def test_flags_agree_and_goal_certificates_check(self):
+        rng = random.Random(0)
+        flips = certified = 0
+        for _ in range(5000):
+            a = _random_ma(rng, rng.randint(1, 24))
+            memo = {}
+            want = _ref_flags(a, memo)
+            r = classify(a)
+            assert (r.in_Q, r.in_QF, r.in_D, r.in_G, r.in_R, r.in_I) == want
+            assert (in_Q(a), in_QF(a)) == want[:2]
+            # quantifier nodes where the tt instance adds the goal flag
+            flipped = sum(
+                _ref_flags(subst_formula_var(q.body, q.bound, TT), memo)[3]
+                != _ref_flags(q.body, memo)[3] for q in _bool_quantifiers(a))
+            flips += flipped
+            if flipped and r.in_G:
+                cert = certify(a, ClassId.GOAL)
+                assert not cert.free_assumptions
+                assert alpha_eq_formula(
+                    recheck(cert).conclusion,
+                    Imp(a, Imp(Imp(subst_bot_falsity(a), BOT), BOT)))
+                certified += 1
+        assert flips >= 100
+        assert certified >= 20
 
 
 class TestClassification:

@@ -341,12 +341,23 @@ class TestSearch:
         assert (code, out.strip()) == (0, "unknown 3 node-cap")
 
 
-@pytest.mark.parametrize("argv", [["classify"], ["efq", "--theory", "NA"],
-                                  ["gg"]])
+def _tt_chain(n: int) -> str:
+    return "(imp (atom (tt)) " * n + "(atom (tt))" + ")" * n
+
+
+@pytest.mark.parametrize("depth", [1500, 100_000])
+def test_classify_handles_deep_input(depth, tmp_path, capsys):
+    src = tmp_path / "deep.frm"
+    src.write_text(_tt_chain(depth), encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(src))
+    assert code == 0 and err == ""
+    assert out.split() == [f"{c}=yes" for c in ("Q", "QF", "D", "G", "R", "I")]
+
+
+@pytest.mark.parametrize("argv", [["efq", "--theory", "NA"], ["gg"]])
 def test_deep_input_exits_with_depth_error(argv, tmp_path, capsys):
     src = tmp_path / "deep.frm"
-    src.write_text("(imp (atom (tt)) " * 1500 + "(atom (tt))" + ")" * 1500,
-                   encoding="utf-8")
+    src.write_text(_tt_chain(1500), encoding="utf-8")
     code, out, err = run(capsys, argv[0], str(src), *argv[1:])
     assert code == 1
     assert out.startswith("depth-error: ")

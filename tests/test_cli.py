@@ -354,7 +354,8 @@ def test_classify_handles_deep_input(depth, tmp_path, capsys):
     assert out.split() == [f"{c}=yes" for c in ("Q", "QF", "D", "G", "R", "I")]
 
 
-@pytest.mark.parametrize("argv", [["efq", "--theory", "NA"], ["gg"]])
+@pytest.mark.parametrize("argv", [["efq", "--theory", "HA"],
+                                  ["efq", "--theory", "NA"], ["gg"]])
 def test_deep_input_exits_with_depth_error(argv, tmp_path, capsys):
     src = tmp_path / "deep.frm"
     src.write_text(_tt_chain(1500), encoding="utf-8")

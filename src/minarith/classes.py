@@ -30,11 +30,12 @@ import enum
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
                       TheoryId, in_language, neg, subst_bot_falsity)
-from .kernel import (BoolCases, BotPlus, Proof, Truth, all_elim, all_intro,
-                     and_intro, assume, axiom, fresh_assumption, imp_elim,
-                     imp_elims, imp_intro, map_proof, proj)
+from .kernel import (BotPlus, Proof, Truth, all_elim, all_intro, and_intro,
+                     assume, axiom, fresh_assumption, imp_elim, imp_elims,
+                     imp_intro, map_proof, proj)
 from .syntax import BOOL, FF, TT, NameSupply, Node, Var
-from .derived import prove_case_distinction, prove_efq
+from .derived import (bool_generalize, bool_instances, prove_case_distinction,
+                      prove_efq)
 
 
 class ClassId(enum.Enum):
@@ -260,44 +261,26 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
     if c == ClassId.GOAL:
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
-        if pr and qg:
-            efq_qf = prove_efq(qf, _MA, supply)
-            ih_p = _cert(p, ClassId.RELEVANT, supply, memo)
+        if qg and (pr or (pd and pqf)):
             ih_q = _cert(q, ClassId.GOAL, supply, memo)
-            nb = fresh_assumption("nb", neg(pf), supply)
+            y = fresh_assumption("y", qf, supply)
             z = fresh_assumption("z", pf, supply)
+            qf_bot = imp_intro(y, imp_elim(assume(v), imp_intro(z, assume(y))))
             # not p^F -> bot: ex falso turns p^F -> F into p^F -> q^F
-            refute = imp_intro(nb, imp_elim(
-                assume(v),
-                imp_intro(z, imp_elim(efq_qf, imp_elim(assume(nb),
-                                                       assume(z))))))
-            have_p = imp_elim(ih_p, refute)
-            y = fresh_assumption("y", qf, supply)
-            z2 = fresh_assumption("z", pf, supply)
-            qf_bot = imp_intro(y, imp_elim(assume(v),
-                                           imp_intro(z2, assume(y))))
-            body = imp_elim(imp_elim(ih_q, imp_elim(assume(u), have_p)),
-                            qf_bot)
-            return imp_intro(u, imp_intro(v, body))
-        if pd and pqf and qg:
-            efq_qf = prove_efq(qf, _MA, supply)
-            ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
-            ih_q = _cert(q, ClassId.GOAL, supply, memo)
-            cd = prove_case_distinction(pf, BOT, _MA, supply)
-            z = fresh_assumption("z", pf, supply)
-            y = fresh_assumption("y", qf, supply)
-            z2 = fresh_assumption("z", pf, supply)
-            qf_bot = imp_intro(y, imp_elim(assume(v),
-                                           imp_intro(z2, assume(y))))
-            have_q = imp_elim(assume(u), imp_elim(ih_p, assume(z)))
-            arg1 = imp_intro(z, imp_elim(imp_elim(ih_q, have_q), qf_bot))
             nb = fresh_assumption("nb", neg(pf), supply)
-            z3 = fresh_assumption("z", pf, supply)
-            arg2 = imp_intro(nb, imp_elim(
-                assume(v),
-                imp_intro(z3, imp_elim(efq_qf, imp_elim(assume(nb),
-                                                        assume(z3))))))
-            return imp_intro(u, imp_intro(v, imp_elims(cd, arg1, arg2)))
+            refute = imp_intro(nb, imp_elim(assume(v), imp_intro(z, imp_elim(
+                prove_efq(qf, _MA, supply), imp_elim(assume(nb), assume(z))))))
+            if pr:
+                ih_p = _cert(p, ClassId.RELEVANT, supply, memo)
+                have_q = imp_elim(assume(u), imp_elim(ih_p, refute))
+                return imp_intro(u, imp_intro(v, imp_elims(ih_q, have_q,
+                                                           qf_bot)))
+            # definite QF premise: split on p^F
+            ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
+            have_q = imp_elim(assume(u), imp_elim(ih_p, assume(z)))
+            arg1 = imp_intro(z, imp_elims(ih_q, have_q, qf_bot))
+            cd = prove_case_distinction(pf, BOT, _MA, supply)
+            return imp_intro(u, imp_intro(v, imp_elims(cd, arg1, refute)))
         # premise definite, conclusion irrelevant
         ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
         ih_q = _cert(q, ClassId.IRRELEVANT, supply, memo)
@@ -394,16 +377,13 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
             return imp_intro(u, imp_intro(v, imp_elim(assume(v), gen)))
         # boolean quantifier, goal body: each instance of the body's
         # certificate, B[t] -> (B^F[t] -> bot) -> bot, refutes B^F[t] -> bot
-        gen = all_intro(x, _cert(b, ClassId.GOAL, supply, memo))
-        at_tt = all_elim(gen, TT, supply)
-        at_ff = all_elim(gen, FF, supply)
+        at_tt, at_ff = bool_instances(x, _cert(b, ClassId.GOAL, supply, memo),
+                                      supply)
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
         p_tt = fresh_assumption("p", at_tt.conclusion.concl.prem.prem, supply)
         p_ff = fresh_assumption("p", at_ff.conclusion.concl.prem.prem, supply)
-        cases_f = axiom(BoolCases(x, bf), _MA, supply)
-        gen_f = all_intro(x, imp_elims(all_elim(cases_f, Var(x), supply),
-                                       assume(p_tt), assume(p_ff)))
+        gen_f = bool_generalize(x, bf, assume(p_tt), assume(p_ff), _MA, supply)
         ff_bot = imp_intro(p_ff, imp_elim(assume(v), gen_f))
         tt_bot = imp_intro(p_tt, imp_elims(
             at_ff, all_elim(assume(u), FF, supply), ff_bot))

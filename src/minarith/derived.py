@@ -3,7 +3,8 @@
 Each synthesizer emits kernel constructions directly, one code path per case
 of the underlying induction: ex-falso-quodlibet, bottom substitution inside
 proofs, the negative-translation equivalence, and case distinction for the
-quantifier-free-style class.
+class Q, which checks Q by structure and proves the body of a Boolean
+quantifier once for both instances (``bool_instances``, ``bool_generalize``).
 """
 
 from __future__ import annotations
@@ -11,16 +12,30 @@ from __future__ import annotations
 from .errors import ClassError, LanguageError
 from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
                       TheoryId, brief_repr, imp, in_language, min_language,
-                      neg, subst, subst_formula_var, theory_leq)
+                      neg, subst, theory_leq)
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, build, fresh_assumption, imp_elim, imp_elims,
                      imp_intro, imp_intros, map_proof, proj)
-from .syntax import BOOL, NO_VARS, Const, NameSupply, ObjVar, Term, Var
+from .syntax import BOOL, FF, NO_VARS, TT, Const, NameSupply, ObjVar, Term, Var
 
 
 def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
     return supply.fresh_avoiding(ObjVar("b", 0, BOOL), avoid)
+
+
+def bool_instances(x: ObjVar, m: Proof,
+                   supply: NameSupply) -> tuple[Proof, Proof]:
+    """The instances at tt and at ff of ``all_intro(x, m)``."""
+    gen = all_intro(x, m)
+    return all_elim(gen, TT, supply), all_elim(gen, FF, supply)
+
+
+def bool_generalize(x: ObjVar, b: Formula, m_tt: Proof, m_ff: Proof,
+                    th: TheoryId, supply: NameSupply) -> Proof:
+    """forall x B from proofs of B[tt] and B[ff], by ``BoolCases(x, B)``."""
+    cases = all_elim(axiom(BoolCases(x, b), th, supply), Var(x), supply)
+    return all_intro(x, imp_elims(cases, m_tt, m_ff))
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +320,9 @@ def _gg_of(equiv: Proof) -> Formula:
 
 def prove_case_distinction(a: Formula, s: Formula, th: TheoryId,
                            supply: NameSupply | None = None) -> Proof:
-    """Closed proof of (A -> S) -> (not A -> S) -> S for A in class Q."""
-    from .classes import in_Q  # local import; classes builds on this module
-
+    """Closed proof of (A -> S) -> (not A -> S) -> S; ClassError outside Q."""
     if th == TheoryId.PA:
         raise LanguageError("case distinction is synthesized for NA/MA/HA")
-    if not in_Q(a):
-        raise ClassError("formula does not admit synthesized case distinction")
     if not in_language(s, th):
         raise LanguageError(f"target formula is not in the language of {th.value}")
     if supply is None:
@@ -391,32 +402,31 @@ def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
                 imp_intro(p2, imp_elim(assume(nb), proj(0, assume(p2)))))))
             c_to_s = imp_elims(ih_b, b_c_s, nb_c_s)
             return imp_intros(imp_elims(ih_c, c_to_s, nc_to_s), u1, u2)
-        case All(x, b):
-            b_tt = subst_formula_var(b, x, Const("tt"), supply)
-            b_ff = subst_formula_var(b, x, Const("ff"), supply)
-            conj = And(b_tt, b_ff)
-            # forall x B  ->  B(tt) /\ B(ff)
-            u = fresh_assumption("u", a, supply)
-            e1 = imp_intro(u, and_intro(
-                all_elim(assume(u), Const("tt"), supply),
-                all_elim(assume(u), Const("ff"), supply)))
-            # B(tt) /\ B(ff)  ->  forall x B
-            w = fresh_assumption("w", conj, supply)
-            cases = axiom(BoolCases(x, b), th, supply)
-            e2 = imp_intro(w, all_intro(x, imp_elims(
-                all_elim(cases, Var(x), supply),
-                proj(0, assume(w)), proj(1, assume(w)))))
-            cd_conj = _cd(conj, s, th, supply)
+        case All(x, b) if x.ty == BOOL:
+            # one case distinction on B, instantiated at tt and ff; x is
+            # renamed in B first where the instances would rewrite S
+            y, body = x, b
+            if x in s.fv:
+                y = supply.fresh_avoiding(x, b.fv | s.fv)
+                body = subst(b, {x: Var(y)}, supply=supply)
+            at_tt, at_ff = bool_instances(y, _cd(body, s, th, supply), supply)
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)
-            p = fresh_assumption("p", conj, supply)
-            arg1 = imp_intro(p, imp_elim(assume(u1),
-                                         imp_elim(e2, assume(p))))
-            np = fresh_assumption("np", neg(conj), supply)
-            v = fresh_assumption("f", a, supply)
-            arg2 = imp_intro(np, imp_elim(
-                assume(u2),
-                imp_intro(v, imp_elim(assume(np), imp_elim(e1, assume(v))))))
-            return imp_intros(imp_elims(cd_conj, arg1, arg2), u1, u2)
+            w = fresh_assumption("w", a, supply)
+
+            def refute(i, t):  # not B[t] -> S: forall x B would give B[t]
+                n = fresh_assumption("n", i.conclusion.concl.prem.prem, supply)
+                return imp_intro(n, imp_elim(assume(u2), imp_intro(
+                    w, imp_elim(assume(n), all_elim(assume(w), t, supply)))))
+
+            # B[tt] -> S: split B[ff] too, and BoolCases gives forall x B
+            p_tt = fresh_assumption("p", at_tt.conclusion.prem.prem, supply)
+            p_ff = fresh_assumption("p", at_ff.conclusion.prem.prem, supply)
+            both = imp_elim(assume(u1), bool_generalize(
+                x, b, assume(p_tt), assume(p_ff), th, supply))
+            tt_s = imp_intro(p_tt, imp_elims(at_ff, imp_intro(p_ff, both),
+                                             refute(at_ff, FF)))
+            return imp_intros(imp_elims(at_tt, tt_s, refute(at_tt, TT)),
+                              u1, u2)
     raise ClassError(
         f"formula {brief_repr(a)} is outside the case-distinction class")

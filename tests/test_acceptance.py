@@ -149,7 +149,7 @@ def test_criterion_05_class_certificate_agreement(capsys):
             continue
         af = subst_bot_falsity(a)
         for cid, target in targets.items():
-            cert = certify(a, cid, NameSupply(200_000))
+            cert = certify(a, cid, NameSupply())
             if (cert is not None) != r.flag(cid):
                 failures.append(f"seed {seed}: {cid.name} disagreement")
                 continue
@@ -179,7 +179,7 @@ def test_criterion_06_case_distinction(capsys):
         found += 1
         for s in targets:
             th = TheoryId.MA if s == BOT else TheoryId.NA
-            p = prove_case_distinction(a, s, th, NameSupply(200_000))
+            p = prove_case_distinction(a, s, th, NameSupply())
             recheck(p)
             from minarith import imp
             want = imp(Imp(a, s), Imp(neg(a), s), s)

@@ -16,6 +16,7 @@ from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
 from minarith import classes
 from minarith.errors import LanguageError
 from minarith.formula import All, And, Atom, Bot
+from minarith.kernel import map_proof
 from minarith.syntax import BOOL, NAT
 
 from conftest import remark_st_formula, remark_st_proof
@@ -86,6 +87,29 @@ class TestQ:
         assert alpha_eq_formula(
             cert.conclusion,
             Imp(a, Imp(Imp(subst_bot_falsity(a), BOT), BOT)))
+
+    # forall x_i (x_i -> A): case distinction splits each Boolean
+    # quantifier once, so the Q and QF certificates no longer double per
+    # level.  They are not linear yet: the implication case builds
+    # prove_efq of its conclusion afresh, about 8 nodes per level below it,
+    # which puts 9,655 nodes (241 per level) at depth 40.
+    @pytest.mark.parametrize("base", [Atom(TT), BOT])
+    def test_nested_bool_case_distinction_does_not_double(self, base):
+        a = base
+        for i in range(40):
+            x = ObjVar("x", i, BOOL)
+            a = All(x, Imp(Atom(Var(x)), a))
+        classes_in = [ClassId.QF] + ([ClassId.Q] if base != BOT else [])
+        for c in classes_in:
+            start = time.process_time()
+            cert = certify(a, c)
+            assert time.process_time() - start < 1.0
+            visited = []
+            map_proof(cert, lambda m, kids: visited.append(m))
+            assert len(visited) <= 300 * 40
+            s = subst_bot_falsity(a) if c == ClassId.QF else a
+            assert alpha_eq_formula(
+                cert.conclusion, imp(Imp(s, BOT), Imp(neg(s), BOT), BOT))
 
     @pytest.mark.parametrize("irrelevant_bodies", [True, False])
     def test_certify_computes_falsity_instance_once_per_node(

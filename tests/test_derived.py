@@ -1,11 +1,13 @@
 """Synthesized lemmas: ex-falso, bottom substitution, negative-translation
 equivalence, and case distinction."""
 
+import random
+
 import pytest
 
 from minarith import (BOT, FALSITY, TRUTH, All, And, Atom, BotPlus, Const,
                       GenConfig, Imp, IndList, ListType, NameSupply, ObjVar,
-                      TheoryId, TT, Var, all_intro, alpha_eq_formula,
+                      TheoryId, TT, FF, Var, all_intro, alpha_eq_formula,
                       and_intro, app, arrow, assume, axiom, formula_free_vars,
                       fresh_assumption, gen_formula, gen_proof, gg_translate,
                       imp, imp_intro, in_Q, min_language, neg,
@@ -318,6 +320,12 @@ class TestCaseDistinction:
         with pytest.raises(LanguageError):
             prove_case_distinction(Atom(TT), FALSITY, TheoryId.PA)
 
+    def test_nat_quantifier_inside_is_class_error(self):
+        x, n = ObjVar("x", 0, BOOL), ObjVar("n", 0, NAT)
+        a = All(x, Imp(Atom(Var(x)), All(n, Atom(TT))))
+        with pytest.raises(ClassError):
+            prove_case_distinction(a, FALSITY, TheoryId.NA)
+
     def test_random_q_formulas(self):
         found = 0
         seed = 0
@@ -337,3 +345,40 @@ class TestCaseDistinction:
                 assert alpha_eq_formula(p.conclusion, want)
                 recheck(p)
         assert found == 50
+
+
+# Boolean binders drawn from two indices clash and shadow; free Var atoms
+# and targets over the same variables make many quantifier cases meet a
+# target in which the bound variable is free, so that it must be renamed.
+_BINDERS = (ObjVar("x", 0, BOOL), ObjVar("x", 1, BOOL))
+_LEAVES = tuple(Atom(t) for t in (TT, FF, Var(ObjVar("y", 0, BOOL)),
+                                  *(Var(x) for x in _BINDERS)))
+
+
+def _random_formula(rng, size, leaves):
+    if size <= 1:
+        return rng.choice(leaves)
+    if size == 2 or rng.random() < 0.3:
+        return All(rng.choice(_BINDERS),
+                   _random_formula(rng, size - 1, leaves))
+    left = rng.randint(1, size - 2)
+    return rng.choice((Imp, And))(
+        _random_formula(rng, left, leaves),
+        _random_formula(rng, size - 1 - left, leaves))
+
+
+def test_case_distinction_fuzz_with_clashing_binders():
+    rng = random.Random(0)
+    clashes = 0
+    for _ in range(3000):
+        a = _random_formula(rng, rng.randint(1, 10), _LEAVES)
+        s = _random_formula(rng, rng.randint(1, 5), _LEAVES + (BOT,))
+        assert in_Q(a)
+        clashes += bool(s.fv & set(_BINDERS)) and "bound=" in repr(a)
+        th = TheoryId.MA if min_language(s) == TheoryId.MA else TheoryId.NA
+        p = prove_case_distinction(a, s, th)
+        assert not p.free_assumptions
+        recheck(p)
+        assert alpha_eq_formula(p.conclusion,
+                                imp(Imp(a, s), Imp(neg(a), s), s))
+    assert clashes >= 500

@@ -1,7 +1,8 @@
 """Definite / goal / relevant / irrelevant formula classes with certificates.
 
-Membership is decided by one structural fold; for every member a closed MA
-proof of the class's characteristic property can be synthesized:
+Membership is decided by one structural fold, whose flags are kept on each
+formula node, as A^F is; for every member a closed MA proof of the class's
+characteristic property can be synthesized:
 
     definite    D:  D^F -> D
     goal        G:  G -> (G^F -> bot) -> bot
@@ -26,6 +27,7 @@ capture all formulas with these properties.
 from __future__ import annotations
 
 import enum
+from itertools import product
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
@@ -104,46 +106,49 @@ def _flag_rule(a: Formula, kids) -> tuple[bool, ...]:
     return (False,) * 6  # or / exists: outside MA, so in no class
 
 
-def _flags(a: Formula, memo: dict) -> tuple[bool, ...]:
+# One tuple for each combination of flags: the tuple a node keeps is shared.
+_FLAG_TUPLES = {t: t for t in product((False, True), repeat=6)}
+
+
+def _flags(a: Formula) -> tuple[bool, ...]:
     """The six flags of ``a`` in ``ClassId`` order, by a post-order fold.
 
-    ``memo`` lives for one ``classify`` or ``certify`` call and is keyed on
-    the node, so the flags of every subformula are there once ``a``'s are.
+    The flags are a fact of the node, kept on it in ``_flags``, so the fold
+    enters only subformulas that have none yet.
     """
-    hit = memo.get(a)
+    hit = getattr(a, "_flags", None)
     if hit is None:
-        def visit(b: Formula, kids) -> tuple[bool, ...]:
-            out = memo[b] = _flag_rule(b, kids)
-            return out
-
-        hit = map_proof(a, visit, _subformulas)
+        hit = map_proof(a, _flag_visit, _unflagged)
     return hit
+
+
+def _unflagged(a: Formula) -> tuple[Formula, ...]:
+    return _subformulas(a) if getattr(a, "_flags", None) is None else ()
+
+
+def _flag_visit(a: Formula, kids) -> tuple[bool, ...]:
+    out = getattr(a, "_flags", None)
+    if out is None:
+        out = _FLAG_TUPLES[_flag_rule(a, kids)]
+        object.__setattr__(a, "_flags", out)
+    return out
 
 
 def in_Q(a: Formula) -> bool:
     """Atoms closed under implication, conjunction and Boolean quantifiers."""
-    return _flags(a, {})[0]
+    return _flags(a)[0]
 
 
 def in_QF(a: Formula) -> bool:
     if not in_language(a, TheoryId.MA):
         raise LanguageError("class membership is defined on MA formulas")
-    return _flags(a, {})[1]
-
-
-def _falsity(a: Formula, memo: dict) -> Formula:
-    """A^F, kept under (a, "F") in the memo of one classify or certify call."""
-    key = (a, "F")
-    af = memo.get(key)
-    if af is None:
-        af = memo[key] = subst_bot_falsity(a)
-    return af
+    return _flags(a)[1]
 
 
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
     if not in_language(a, TheoryId.MA):
         raise LanguageError("class membership is defined on MA formulas")
-    report = ClassReport(*_flags(a, {}))
+    report = ClassReport(*_flags(a))
     if with_certificates:
         for c in ClassId:
             cert = certify(a, c)
@@ -166,16 +171,14 @@ def certify(a: Formula, c: ClassId,
         raise LanguageError("class membership is defined on MA formulas")
     if supply is None:
         supply = NameSupply()
-    # flags under the formula, A^F under (formula, "F"), certificates under
-    # (formula, class)
-    memo: dict = {}
-    if not ClassReport(*_flags(a, memo)).flag(c):
+    if not ClassReport(*_flags(a)).flag(c):
         return None
     if c == ClassId.Q:
         return prove_case_distinction(a, BOT, _MA, supply)
     if c == ClassId.QF:
-        return prove_case_distinction(_falsity(a, memo), BOT, _MA, supply)
-    return _cert(a, c, supply, memo)
+        return prove_case_distinction(subst_bot_falsity(a), BOT, _MA, supply)
+    # certificates by (formula, class), for this call: they draw on supply
+    return _cert(a, c, supply, {})
 
 
 def _cert(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
@@ -183,7 +186,7 @@ def _cert(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
     out = memo.get(key)
     if out is not None:
         return out
-    af = _falsity(a, memo)
+    af = subst_bot_falsity(a)
     match a:
         case Bot():
             out = _cert_bot(c, supply)
@@ -231,10 +234,9 @@ def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
 
 
 def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
-    _, pqf, pd, pg, pr, pi = _flags(p, memo)
-    _, _, qd, qg, qr, qi = _flags(q, memo)
-    pf = _falsity(p, memo)
-    qf = _falsity(q, memo)
+    _, pqf, pd, pg, pr, pi = _flags(p)
+    _, _, qd, qg, qr, qi = _flags(q)
+    pf, qf = af.prem, af.concl  # A^F of an implication is pf -> qf
 
     if c == ClassId.DEFINITE:
         u = fresh_assumption("u", af, supply)
@@ -316,8 +318,7 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
 
 
 def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
-    lf = _falsity(l, memo)
-    rf = _falsity(r, memo)
+    lf, rf = af.left, af.right
     if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
         # componentwise along A^F /\ B^F -> A /\ B (or its converse)
         ih_l = _cert(l, c, supply, memo)
@@ -359,7 +360,7 @@ def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
 
 
 def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
-    bf = _falsity(b, memo)
+    bf = af.body
     if c == ClassId.DEFINITE:
         # relevant bodies are definite as well, so one subcase suffices
         ih = _cert(b, ClassId.DEFINITE, supply, memo)
@@ -367,7 +368,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
         body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
-        if _flags(b, memo)[5]:
+        if _flags(b)[5]:
             # body irrelevant
             ih = _cert(b, ClassId.IRRELEVANT, supply, memo)
             u = fresh_assumption("u", a, supply)

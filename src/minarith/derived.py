@@ -110,8 +110,9 @@ def subst_bot_proof(m: Proof, s: Formula,
     """Rewrite an MA proof of A into a proof of A^S.
 
     A free assumption (u_i : A_i) turns into (u_i : A_i^S), with the same
-    name and index; the bottom-introduction axiom becomes an ex-falso proof
-    of F -> S.  A subproof in NA has no bottom, so it comes back as it is.
+    name and index; every bottom-introduction axiom becomes one shared
+    ex-falso proof of F -> S, which is closed.  A subproof in NA has no
+    bottom, so it comes back as it is.
     """
     if not theory_leq(m.min_theory, TheoryId.MA):
         raise LanguageError("bottom substitution applies to NA/MA proofs only")
@@ -139,8 +140,10 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         supply = NameSupply()
     fv_s = NO_VARS if s is None else s.fv
     # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
-    # id, and images of assumption variables by (variable, sigma).
-    pairs, binders, images = {}, {}, {}
+    # id, images of assumption variables by (variable, sigma), and the memo
+    # of ``subst`` for each sigma.
+    pairs, binders, images, memos = {}, {}, {}, {}
+    efq = None  # the closed proof of F -> s that replaces each BotPlus
 
     def node_at(m: Proof, inner):
         # A node under the outer sigma is the proof itself, any other one a
@@ -165,7 +168,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         return renamed, ((y, Var(renamed)),) + sigma
 
     def rewrite(a: Formula | Term, sigma) -> Formula | Term:
-        return subst(a, dict(sigma), s, supply)
+        return subst(a, dict(sigma), s, supply, memos.setdefault(sigma, {}))
 
     def assumption(u: AssumptionVar, sigma) -> AssumptionVar:
         # A binder renaming its eigenvariable changes sigma but not the
@@ -182,9 +185,12 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         return image
 
     def subst_axiom(m: Proof, sigma) -> Proof:
+        nonlocal efq
         ax = m.params[0]
         if s is not None and isinstance(ax, BotPlus):
-            return prove_efq(s, th, supply)
+            if efq is None:
+                efq = prove_efq(s, th, supply)
+            return efq
         # ObjVar fields bind every Formula field; Term fields lie outside.
         values = [getattr(ax, n) for n in ax.__match_args__]
         bodies = [v for v in values if isinstance(v, Formula)]

@@ -8,22 +8,30 @@ symbol bottom, ``HA``/``PA`` instead add strong disjunction and existence.
 Like terms, formulas are interned and carry facts set at construction:
 their free variables ``fv``, and whether they contain bottom (``has_bot``)
 or strong disjunction or existence (``has_strong``).  ``subst`` is the one
-substitution over terms and formulas.
+substitution over terms and formulas.  A formula also keeps, once asked,
+its A^F (``subst_bot_falsity``), the instances of a universal formula
+(``instance``) and its class flags (set by ``classes``): an interned node
+stands for its value, so a pure result computed once holds for every later
+use.  A^F and instances are held by weak reference, so they keep no node
+alive.
 """
 
 from __future__ import annotations
 
 import enum
+from weakref import ref
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
-                     NameSupply, ObjVar, Term, Var, bind, node, union)
+                     NameSupply, ObjVar, Term, Var, bind, keep, kept, node,
+                     union)
 
 
 class Formula(Expr):
     """Base class of the closed set of formula variants."""
 
-    __slots__ = ("has_bot", "has_strong")
+    # _af and _flags hold facts kept once asked (module docstring)
+    __slots__ = ("has_bot", "has_strong", "_af", "_flags")
 
     def _facts(self, fv, has_bot, has_strong):
         object.__setattr__(self, "fv", fv)
@@ -73,6 +81,7 @@ class And(Formula):
 class All(Formula):
     bound: ObjVar
     body: Formula
+    _inst: dict  # kept instances, see ``instance``
 
     def __post_init__(self):
         b = self.body
@@ -126,22 +135,29 @@ class TheoryId(enum.Enum):
     HA = "HA"
     PA = "PA"
 
+    __hash__ = object.__hash__  # Enum's hashes the name, in Python
+
+
+# The theories that contain each theory: NA <= MA and NA <= HA <= PA.
+_ABOVE = {TheoryId.NA: frozenset(TheoryId),
+          TheoryId.MA: frozenset({TheoryId.MA}),
+          TheoryId.HA: frozenset({TheoryId.HA, TheoryId.PA}),
+          TheoryId.PA: frozenset({TheoryId.PA})}
+# a: {b: the least theory containing a and b}, for each b that has one
+_JOIN = {a: {b: b if b in up else a for b in TheoryId
+             if b in up or a in _ABOVE[b]} for a, up in _ABOVE.items()}
+
 
 def theory_leq(a: TheoryId, b: TheoryId) -> bool:
     """Partial order NA <= MA and NA <= HA <= PA; MA and HA incomparable."""
-    if a == b or a == TheoryId.NA:
-        return True
-    if a == TheoryId.HA and b == TheoryId.PA:
-        return True
-    return False
+    return b in _ABOVE[a]
 
 
 def theory_join(a: TheoryId, b: TheoryId) -> TheoryId:
-    if theory_leq(a, b):
-        return b
-    if theory_leq(b, a):
-        return a
-    raise TheoryError(f"no theory contains both {a.value} and {b.value}")
+    j = a if a is b else _JOIN[a].get(b)
+    if j is None:
+        raise TheoryError(f"no theory contains both {a.value} and {b.value}")
+    return j
 
 
 def in_language(a: Formula, th: TheoryId) -> bool:
@@ -212,7 +228,8 @@ alpha_eq_formula = alpha_eq
 
 
 def subst(a: Formula | Term, sigma, bot: Formula | None = None,
-          supply: NameSupply | None = None) -> Formula | Term:
+          supply: NameSupply | None = None,
+          memo: dict | None = None) -> Formula | Term:
     """Simultaneous capture-avoiding substitution in a formula or term.
 
     Replaces each free variable ``x`` of ``a`` in the mapping ``sigma`` by
@@ -220,18 +237,20 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
     A binder whose variable is free in what would be inserted below it is
     renamed, with an index drawn from ``supply``.  A node with nothing to
     replace comes back as it is, and each node is rebuilt at most once
-    (memoized on identity), so the result shares what ``a`` shares.
+    (memoized on identity), so the result shares what ``a`` shares.  Calls
+    with one ``sigma``, ``bot`` and ``supply`` may share one ``memo``.
     """
     if supply is None:
         supply = NameSupply()
     keys = frozenset(sigma)  # a set's isdisjoint reuses the stored hashes
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def go(n):
         if keys.isdisjoint(n.fv) and (bot is None or isinstance(n, Term)
                                       or not n.has_bot):
             return n
-        out = memo.get(id(n))
+        out = memo.get(n)
         if out is not None:
             return out
         match n:
@@ -255,13 +274,36 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
                     inner, x = {**inner, x: Var(fresh)}, fresh
                 out = type(n)(x, go(b) if inner is sigma
                               else subst(b, inner, bot, supply))
-        memo[id(n)] = out
+        memo[n] = out
         return out
 
     try:
         return go(a)
     finally:
         go = None  # go refers to itself: break the cycle, so no GC pass
+
+
+def instance(a: All, t: Term, supply: NameSupply | None = None) -> Formula:
+    """The instance ``B[x := t]`` of ``a`` = ``forall x B``.
+
+    An instance whose substitution draws no index from ``supply`` (as at
+    every closed ``t``) is the same node for any supply, so it is kept on
+    ``a``, by weak reference and under a weak reference to ``t``.
+    """
+    x, b = a.bound, a.body
+    if x not in b.fv or (type(t) is Var and t.var is x):
+        return b
+    r = getattr(a, "_inst", {}).get(ref(t))
+    out = r and r()
+    if out is None:
+        supply = supply or NameSupply()
+        start = supply.next_index
+        out = subst(b, {x: t}, supply=supply)
+        if supply.next_index == start:
+            if getattr(a, "_inst", None) is None:
+                object.__setattr__(a, "_inst", {})
+            a._inst[ref(t)] = ref(out)
+    return out
 
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,
@@ -288,8 +330,26 @@ def subst_bot(a: Formula, s: Formula,
 
 
 def subst_bot_falsity(a: Formula) -> Formula:
-    """The instance A^F used throughout the formula classes."""
-    return subst_bot(a, FALSITY)
+    """The instance A^F used throughout the formula classes.
+
+    It is ``subst_bot(a, FALSITY)``, which renames no binder, as ``FALSITY``
+    is closed; it is kept on each node with bottom.
+    """
+    if a.has_strong:
+        raise LanguageError("bottom substitution needs a formula without or/exists")
+    if not a.has_bot:
+        return a
+    af = kept(a, "_af")
+    if af is None:
+        match a:
+            case Bot():
+                af = FALSITY
+            case Imp(l, r) | And(l, r):
+                af = type(a)(subst_bot_falsity(l), subst_bot_falsity(r))
+            case All(x, b):
+                af = All(x, subst_bot_falsity(b))
+        keep(a, "_af", af)
+    return af
 
 
 def gg_translate(a: Formula) -> Formula:

@@ -4,6 +4,15 @@
 module; every value therefore satisfies its rule's side conditions and caches
 its conclusion, free assumptions, and minimal theory.  Downstream code never
 re-verifies proofs.
+
+Two results that the constructors compute are kept on the interned nodes
+they are computed from: the schema of an axiom value (``axiom_schema``) and
+the instance of a universal formula at a term (``formula.instance``, which
+``all_elim`` calls).  Each is kept only where computing it draws no index
+from the name supply, so a kept result is the very node a fresh computation
+gives.  ``recheck`` still calls the checked constructor of every rule, so
+every side condition is tested again: what it no longer redoes is a pure
+function of nodes it has already been given.
 """
 
 from __future__ import annotations
@@ -13,10 +22,11 @@ from operator import attrgetter
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       Or, TheoryId, alpha_eq_formula, brief_repr, imp,
-                      min_language, neg, subst, theory_join, theory_leq)
+                      instance, min_language, neg, subst, theory_join,
+                      theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, Node, ObjVar, Term, Var, app, bind, node,
-                     union)
+                     NameSupply, Node, ObjVar, Term, Var, app, bind, keep,
+                     kept, node, union)
 
 
 @node
@@ -38,7 +48,7 @@ def fresh_assumption(name: str, formula: Formula,
 class AxiomId(Node):
     """Base class of the closed set of axiom schemes."""
 
-    __slots__ = ()
+    __slots__ = ("_schema",)  # kept by ``axiom_schema``
 
 
 @node
@@ -125,9 +135,24 @@ _AXIOM_AVAILABILITY = {
 
 
 def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
-    """The concluding formula of an axiom scheme instance."""
-    if supply is None:
-        supply = NameSupply()
+    """The concluding formula of an axiom scheme instance.
+
+    A schema whose substitutions draw no index from ``supply`` (every one
+    but ``IndList`` and ``ExIntro`` whose body has a binder to rename) is the
+    same node for any supply, so it is kept on ``ax``.
+    """
+    schema = kept(ax, "_schema")
+    if schema is None:
+        if supply is None:
+            supply = NameSupply()
+        start = supply.next_index
+        schema = _schema(ax, supply)
+        if supply.next_index == start:
+            keep(ax, "_schema", schema)
+    return schema
+
+
+def _schema(ax: AxiomId, supply: NameSupply) -> Formula:
     match ax:
         case Truth():
             return TRUTH
@@ -317,10 +342,10 @@ def all_elim(m: Proof, t: Term, supply: NameSupply | None = None) -> Proof:
         raise ShapeError(
             "instantiation needs a universal formula, got "
             f"{brief_repr(m.conclusion)}")
-    x, body = m.conclusion.bound, m.conclusion.body
+    x = m.conclusion.bound
     if t.ty != x.ty:
         raise TypeError(f"instantiating term type {t.ty} does not match {x.ty}")
-    concl = subst(body, {x: t}, supply=supply)
+    concl = instance(m.conclusion, t, supply)
     return Proof(_TOKEN, "all_elim", (m,), (t,), concl, m.free_assumptions,
                  m.min_theory)
 
@@ -339,54 +364,51 @@ def all_intro(x: ObjVar, m: Proof) -> Proof:
 # Generic builder and re-checking
 
 
+# Each rule's checked constructor, called with (premises, params, supply).
+_RULES = {
+    "assume": lambda ps, params, supply: assume(*params),
+    "axiom": lambda ps, params, supply: axiom(*params, supply=supply),
+    "and_intro": lambda ps, params, supply: and_intro(*ps),
+    "proj": lambda ps, params, supply: proj(params[0], *ps),
+    "imp_elim": lambda ps, params, supply: imp_elim(*ps),
+    "imp_intro": lambda ps, params, supply: imp_intro(params[0], *ps),
+    "all_elim": lambda ps, params, supply: all_elim(*ps, params[0], supply),
+    "all_intro": lambda ps, params, supply: all_intro(params[0], *ps),
+}
+
+
 def build(rule: str, premises, params=(),
           supply: NameSupply | None = None) -> Proof:
     """Dispatch to the checked constructor named by ``rule``."""
-    premises = tuple(premises)
-    params = tuple(params)
-    match rule:
-        case "assume":
-            return assume(*params)
-        case "axiom":
-            return axiom(*params, supply=supply)
-        case "and_intro":
-            return and_intro(*premises)
-        case "proj":
-            return proj(params[0], *premises)
-        case "imp_elim":
-            return imp_elim(*premises)
-        case "imp_intro":
-            return imp_intro(params[0], *premises)
-        case "all_elim":
-            return all_elim(premises[0], params[0], supply)
-        case "all_intro":
-            return all_intro(params[0], *premises)
-    raise ShapeError(f"unknown rule {rule!r}")
+    make = _RULES.get(rule)
+    if make is None:
+        raise ShapeError(f"unknown rule {rule!r}")
+    return make(premises, params, supply)
 
 
 def map_proof(root, visit, children=attrgetter("children")):
     """Post-order map over a proof DAG, with an explicit stack.
 
     ``visit(node, images)`` returns a node's image from its children's.  Each
-    distinct node is visited once, memoized on identity: proofs are immutable.
-    ``children`` lets the walk run over other acyclic nodes, such as the
-    (proof, substitution) nodes of ``derived``, as long as they stay alive
-    until the walk ends.
+    distinct node is visited once, memoized on the node: proofs are immutable
+    and hash by identity.  ``children`` lets the walk run over other acyclic
+    nodes, such as formulas or the (proof, substitution) nodes of
+    ``derived``, which are interned, so that equal nodes are one.
     """
     images = {}
     stack = [(root, None)]
     while stack:
         node, kids = stack.pop()
         if kids is not None:
-            images[id(node)] = visit(
-                node, [images[id(k)] for k in kids] if kids else kids)
-        elif id(node) not in images:
+            images[node] = visit(
+                node, [images[k] for k in kids] if kids else kids)
+        elif node not in images:
             kids = children(node)
             stack.append((node, kids))
             for k in reversed(kids):
-                if id(k) not in images:
+                if k not in images:
                     stack.append((k, None))
-    return images[id(root)]
+    return images[root]
 
 
 def recheck(m: Proof) -> Proof:
@@ -395,9 +417,10 @@ def recheck(m: Proof) -> Proof:
     Used to confirm that the cached judgement of a stored or deserialized
     proof really is derivable.  Shared subproofs are rebuilt once.
     """
-    def rebuild(m: Proof, children) -> Proof:
-        if m.rule == "axiom":
-            return axiom(m.params[0], m.min_theory)
-        return build(m.rule, children, m.params)
+    return map_proof(m, _rebuild)
 
-    return map_proof(m, rebuild)
+
+def _rebuild(m: Proof, premises) -> Proof:
+    if m.rule == "axiom":
+        return axiom(m.params[0], m.min_theory)
+    return _RULES[m.rule](premises, m.params, None)

@@ -300,6 +300,7 @@ _LEAVES = {"assume": "assumption", "axiom": "axiom"}
 _NULLARY = {(c, head): Const(head, ()) if cls is Const else cls()
             for (c, head), (cls, kinds) in _READERS.items() if not kinds}
 _WHAT = {"str": "a symbol", "int": "an integer"}
+_PART_OF_PREMISE = {"imp_elim", "proj"}
 _MEMO_LEVELS = 3  # an argument and the lists one and two levels below it
 # The lists in these forms are arguments of a proof, axiom or assume form.
 _RESTART = {"proof", "assumption", "axiom"}
@@ -364,7 +365,9 @@ def _parse(text: str, category: str, th: TheoryId | None = None,
             x = assume(x)
         elif not isinstance(x, Proof):
             x = axiom(x, th, supply)
-        if bound is not None and \
+        # The conclusion of modus ponens or a projection is part of its
+        # premise's, which has been measured.
+        if bound is not None and x.rule not in _PART_OF_PREMISE and \
                 (n := written_size(x.conclusion, sizes)) > bound:
             raise ParseError(f"the {tag} form's conclusion has {n} nodes "
                              f"written out, more than {bound}")

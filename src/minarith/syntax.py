@@ -56,7 +56,8 @@ class Node:
             n = object.__new__(cls)
             for set_field, a in zip(cls._setters, args):
                 set_field(n, a)
-            n.__post_init__()
+            if (post := cls._post_init) is not None:
+                post(n)
             r = _NODES[key] = _Ref(n, _forget)
             r.key = key
         return n
@@ -94,7 +95,20 @@ def node(cls):
     ns["_defaults"] = {n: ns.pop(n) for n in fields if n in ns}
     cls = type(cls.__name__, cls.__bases__, ns)
     cls._setters = tuple(vars(cls)[n].__set__ for n in fields)
+    post = cls.__post_init__  # None when it is the no-op: not called
+    cls._post_init = None if post is Node.__post_init__ else post
     return cls
+
+
+def kept(n: Node, slot: str):
+    """The fact ``keep`` put in ``slot`` of ``n``; None if none or freed."""
+    r = getattr(n, slot, None)
+    return None if r is None else r()
+
+
+def keep(n: Node, slot: str, fact) -> None:
+    """Keep ``fact``, a pure result about ``n``, on ``n`` by weak reference."""
+    object.__setattr__(n, slot, ref(fact))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ class TestProofRoundTrip:
         assert alpha_eq_formula(q.conclusion, p.conclusion)
 
 
+def digest_proofs():
+    """The proofs whose printed text the digest test fixes."""
+    for seed in range(300):
+        yield gen_proof(seed, 12, NameSupply(10_000))
+    for th in TheoryId:
+        lang = th if th != TheoryId.PA else TheoryId.HA
+        for seed in range(50):
+            a = gen_formula(GenConfig(seed=seed, max_size=12, language=lang))
+            yield prove_efq(a, th, NameSupply(50_000))
+    for e in load_manifest():
+        if e["expect"] == "ok":
+            yield parse_proof(e["text"], TheoryId(e["theory"]))
+
+
 class TestSharedForm:
     def test_shared_nodes_are_labelled_in_print_order(self):
         t = axiom(Truth(), TheoryId.NA)
@@ -186,21 +200,18 @@ class TestSharedForm:
 
     def test_unshared_proofs_print_as_plain_trees(self):
         # Digest of the same proofs printed before labels existed.
-        texts = [print_proof(gen_proof(seed, 12, NameSupply(10_000)))
-                 for seed in range(300)]
-        for th in TheoryId:
-            lang = th if th != TheoryId.PA else TheoryId.HA
-            for seed in range(50):
-                a = gen_formula(GenConfig(seed=seed, max_size=12,
-                                          language=lang))
-                texts.append(print_proof(prove_efq(a, th, NameSupply(50_000))))
-        for e in load_manifest():
-            if e["expect"] == "ok":
-                texts.append(print_proof(
-                    parse_proof(e["text"], TheoryId(e["theory"]))))
+        texts = list(map(print_proof, digest_proofs()))
         assert len(texts) == 522
         assert sha256("\n".join(texts).encode()).hexdigest() == \
             "a8bc82dfc54641f490668adb424e33fcf872c9de719ead7ab8d224dd995e38ae"
+
+    def test_proofs_built_again_over_kept_facts_print_the_same(self):
+        # The second build finds the instances, schemas and A^F that the
+        # first one kept on nodes that it still holds alive.
+        first = list(digest_proofs())
+        second = list(digest_proofs())
+        assert list(map(print_proof, second)) == \
+            list(map(print_proof, first))
 
     def test_conclusion_bound_applies_to_labelled_text_only(self):
         # At k = 10, 354,293 nodes from 565 tokens.  Tree-form text builds

@@ -8,12 +8,9 @@ symbol bottom, ``HA``/``PA`` instead add strong disjunction and existence.
 Like terms, formulas are interned and carry facts set at construction:
 their free variables ``fv``, and whether they contain bottom (``has_bot``)
 or strong disjunction or existence (``has_strong``).  ``subst`` is the one
-substitution over terms and formulas.  A formula also keeps, once asked,
-its A^F (``subst_bot_falsity``), the instances of a universal formula
-(``instance``) and its class flags (set by ``classes``): an interned node
-stands for its value, so a pure result computed once holds for every later
-use.  A^F and instances are held by weak reference, so they keep no node
-alive.
+substitution over terms and formulas.  As an interned node stands for its
+value, a formula also keeps, once asked, its A^F, its instances and its
+class flags; A^F and instances by weak reference, to keep no node alive.
 """
 
 from __future__ import annotations
@@ -23,14 +20,13 @@ from weakref import ref
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
-                     NameSupply, ObjVar, Term, Var, bind, keep, kept, node,
-                     union)
+                     NameSupply, ObjVar, Term, Var, bind, node, union)
 
 
 class Formula(Expr):
     """Base class of the closed set of formula variants."""
 
-    # _af and _flags hold facts kept once asked (module docstring)
+    # _af and _flags: facts kept once asked (see the module docstring)
     __slots__ = ("has_bot", "has_strong", "_af", "_flags")
 
     def _facts(self, fv, has_bot, has_strong):
@@ -284,12 +280,9 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
 
 
 def instance(a: All, t: Term, supply: NameSupply | None = None) -> Formula:
-    """The instance ``B[x := t]`` of ``a`` = ``forall x B``.
-
-    An instance whose substitution draws no index from ``supply`` (as at
-    every closed ``t``) is the same node for any supply, so it is kept on
-    ``a``, by weak reference and under a weak reference to ``t``.
-    """
+    """``B[x := t]`` for ``a`` = ``forall x B``, kept on ``a`` (weakly, under
+    a weak reference to ``t``) if it draws no index, as at a closed ``t``:
+    then it is the same node for any supply."""
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
@@ -330,16 +323,14 @@ def subst_bot(a: Formula, s: Formula,
 
 
 def subst_bot_falsity(a: Formula) -> Formula:
-    """The instance A^F used throughout the formula classes.
-
-    It is ``subst_bot(a, FALSITY)``, which renames no binder, as ``FALSITY``
-    is closed; it is kept on each node with bottom.
-    """
+    """A^F, ``subst_bot(a, FALSITY)``, kept on each node with bottom.  It
+    renames no binder, as ``FALSITY`` is closed."""
     if a.has_strong:
         raise LanguageError("bottom substitution needs a formula without or/exists")
     if not a.has_bot:
         return a
-    af = kept(a, "_af")
+    r = getattr(a, "_af", None)
+    af = r and r()
     if af is None:
         match a:
             case Bot():
@@ -348,7 +339,7 @@ def subst_bot_falsity(a: Formula) -> Formula:
                 af = type(a)(subst_bot_falsity(l), subst_bot_falsity(r))
             case All(x, b):
                 af = All(x, subst_bot_falsity(b))
-        keep(a, "_af", af)
+        object.__setattr__(a, "_af", ref(af))
     return af
 
 

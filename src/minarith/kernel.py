@@ -5,19 +5,18 @@ module; every value therefore satisfies its rule's side conditions and caches
 its conclusion, free assumptions, and minimal theory.  Downstream code never
 re-verifies proofs.
 
-Two results that the constructors compute are kept on the interned nodes
-they are computed from: the schema of an axiom value (``axiom_schema``) and
-the instance of a universal formula at a term (``formula.instance``, which
-``all_elim`` calls).  Each is kept only where computing it draws no index
-from the name supply, so a kept result is the very node a fresh computation
-gives.  ``recheck`` still calls the checked constructor of every rule, so
-every side condition is tested again: what it no longer redoes is a pure
-function of nodes it has already been given.
+The schema of an axiom value (``axiom_schema``) and the instance of a
+universal formula at a term (``formula.instance``, for ``all_elim``) are
+kept on the node, where computing them draws no index from the supply, so
+a kept result is the node a fresh computation gives.  ``recheck`` still
+calls the checked constructor of every rule and so tests every side
+condition again; it only stops recomputing such pure results.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from weakref import ref
 
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
@@ -25,8 +24,8 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       instance, min_language, neg, subst, theory_join,
                       theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, Node, ObjVar, Term, Var, app, bind, keep,
-                     kept, node, union)
+                     NameSupply, Node, ObjVar, Term, Var, app, bind, node,
+                     union)
 
 
 @node
@@ -135,20 +134,17 @@ _AXIOM_AVAILABILITY = {
 
 
 def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
-    """The concluding formula of an axiom scheme instance.
-
-    A schema whose substitutions draw no index from ``supply`` (every one
-    but ``IndList`` and ``ExIntro`` whose body has a binder to rename) is the
-    same node for any supply, so it is kept on ``ax``.
-    """
-    schema = kept(ax, "_schema")
+    """The concluding formula of an axiom scheme instance, kept on ``ax``
+    (weakly) if it draws no index, as every one but some ``IndList`` and
+    ``ExIntro`` schemas: then it is the same node for any supply."""
+    r = getattr(ax, "_schema", None)
+    schema = r and r()
     if schema is None:
-        if supply is None:
-            supply = NameSupply()
+        supply = supply or NameSupply()
         start = supply.next_index
         schema = _schema(ax, supply)
         if supply.next_index == start:
-            keep(ax, "_schema", schema)
+            object.__setattr__(ax, "_schema", ref(schema))
     return schema
 
 

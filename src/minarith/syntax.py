@@ -100,17 +100,6 @@ def node(cls):
     return cls
 
 
-def kept(n: Node, slot: str):
-    """The fact ``keep`` put in ``slot`` of ``n``; None if none or freed."""
-    r = getattr(n, slot, None)
-    return None if r is None else r()
-
-
-def keep(n: Node, slot: str, fact) -> None:
-    """Keep ``fact``, a pure result about ``n``, on ``n`` by weak reference."""
-    object.__setattr__(n, slot, ref(fact))
-
-
 # ---------------------------------------------------------------------------
 # Types
 

@@ -20,7 +20,8 @@ from weakref import ref
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
-                     NameSupply, ObjVar, Term, Var, bind, node, union)
+                     NameSupply, ObjVar, Term, Var, bind, keep, kept, node,
+                     union)
 
 
 class Formula(Expr):
@@ -286,16 +287,13 @@ def instance(a: All, t: Term, supply: NameSupply | None = None) -> Formula:
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
-    r = getattr(a, "_inst", {}).get(ref(t))
-    out = r and r()
+    out = kept(a, "_inst", ref(t))
     if out is None:
         supply = supply or NameSupply()
         start = supply.next_index
         out = subst(b, {x: t}, supply=supply)
         if supply.next_index == start:
-            if getattr(a, "_inst", None) is None:
-                object.__setattr__(a, "_inst", {})
-            a._inst[ref(t)] = ref(out)
+            keep(a, "_inst", out, ref(t))
     return out
 
 
@@ -329,8 +327,7 @@ def subst_bot_falsity(a: Formula) -> Formula:
         raise LanguageError("bottom substitution needs a formula without or/exists")
     if not a.has_bot:
         return a
-    r = getattr(a, "_af", None)
-    af = r and r()
+    af = kept(a, "_af")
     if af is None:
         match a:
             case Bot():
@@ -339,7 +336,7 @@ def subst_bot_falsity(a: Formula) -> Formula:
                 af = type(a)(subst_bot_falsity(l), subst_bot_falsity(r))
             case All(x, b):
                 af = All(x, subst_bot_falsity(b))
-        object.__setattr__(a, "_af", ref(af))
+        keep(a, "_af", af)
     return af
 
 

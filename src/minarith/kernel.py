@@ -16,7 +16,6 @@ condition again; it only stops recomputing such pure results.
 from __future__ import annotations
 
 from operator import attrgetter
-from weakref import ref
 
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
@@ -24,8 +23,8 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       instance, min_language, neg, subst, theory_join,
                       theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, Node, ObjVar, Term, Var, app, bind, node,
-                     union)
+                     NameSupply, Node, ObjVar, Term, Var, app, bind, keep,
+                     kept, node, union)
 
 
 @node
@@ -137,14 +136,13 @@ def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
     """The concluding formula of an axiom scheme instance, kept on ``ax``
     (weakly) if it draws no index, as every one but some ``IndList`` and
     ``ExIntro`` schemas: then it is the same node for any supply."""
-    r = getattr(ax, "_schema", None)
-    schema = r and r()
+    schema = kept(ax, "_schema")
     if schema is None:
         supply = supply or NameSupply()
         start = supply.next_index
         schema = _schema(ax, supply)
         if supply.next_index == start:
-            object.__setattr__(ax, "_schema", ref(schema))
+            keep(ax, "_schema", schema)
     return schema
 
 

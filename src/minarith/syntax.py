@@ -100,6 +100,47 @@ def node(cls):
     return cls
 
 
+class _Fact(ref):
+    # A weak reference to a fact kept on a node, under a slot and, if the
+    # slot holds a dict, a key.  When the fact is freed, the callback takes
+    # the reference off the node, so a freed fact leaves nothing behind.
+    __slots__ = ("owner", "slot", "key")
+
+
+def kept(n: Node, slot: str, key=None):
+    """The fact that ``keep`` put on ``n``, or None if none is kept."""
+    r = getattr(n, slot, None)
+    if key is not None and r is not None:
+        r = r.get(key)
+    return None if r is None else r()
+
+
+def keep(n: Node, slot: str, fact, key=None) -> None:
+    """Keep ``fact``, a pure result about ``n``, in ``slot`` of ``n`` (in a
+    dict under ``key`` if one is given) for as long as ``fact`` lives."""
+    r = _Fact(fact, _unkeep)
+    r.owner, r.slot, r.key = ref(n), slot, key
+    if key is None:
+        object.__setattr__(n, slot, r)
+        return
+    facts = getattr(n, slot, None)
+    if facts is None:
+        object.__setattr__(n, slot, facts := {})
+    facts[key] = r
+
+
+def _unkeep(r: _Fact) -> None:
+    n = r.owner()
+    facts = None if n is None else getattr(n, r.slot, None)
+    if r.key is None:
+        if facts is r:
+            object.__setattr__(n, r.slot, None)
+    elif facts is not None and facts.get(r.key) is r:
+        del facts[r.key]
+        if not facts:
+            object.__setattr__(n, r.slot, None)
+
+
 # ---------------------------------------------------------------------------
 # Types
 

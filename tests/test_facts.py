@@ -151,6 +151,15 @@ def test_certify_and_recheck_keep_no_node_alive():
     gc.collect()
     # The formulas are alive, so this counts what their kept facts hold.
     assert len(syntax._NODES) == before
+    # A freed fact is taken off its node, so it costs the node nothing.
+    stack = list(formulas)
+    while stack:
+        n = stack.pop()
+        r = getattr(n, "_af", None)
+        assert r is None or r() is not None
+        assert all(r() is not None
+                   for r in (getattr(n, "_inst", None) or {}).values())
+        stack += [c for c in n.children if isinstance(c, formula.Formula)]
 
 
 def test_recheck_of_certificates_does_not_substitute_again(monkeypatch):

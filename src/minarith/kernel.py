@@ -23,8 +23,8 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       instance, min_language, neg, subst, theory_join,
                       theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
-                     NameSupply, Node, ObjVar, Term, Var, app, bind, keep,
-                     kept, node, union)
+                     NO_VARS, NameSupply, Node, ObjVar, Term, Var, app, bind,
+                     keep, kept, node, union)
 
 
 @node
@@ -278,7 +278,7 @@ def axiom(ax: AxiomId, th: TheoryId,
         raise TheoryError(
             f"axiom instance forces theory {min_theory.value}, "
             f"requested {th.value}")
-    return Proof(_TOKEN, "axiom", (), (ax,), concl, frozenset(), min_theory)
+    return Proof(_TOKEN, "axiom", (), (ax,), concl, NO_VARS, min_theory)
 
 
 def and_intro(m: Proof, n: Proof) -> Proof:
@@ -320,6 +320,13 @@ def imp_elims(m: Proof, *args: Proof) -> Proof:
 
 def imp_intro(u: AssumptionVar, m: Proof) -> Proof:
     free = bind(u, m.free_assumptions)  # the same set if u is not in it
+    if free is not m.free_assumptions:
+        # Share an equal set that a subproof holds, as the M of
+        # imp_intro(u, imp_elim(M, assume(u))) does, rather than a copy.
+        for c in m.children:
+            if c.free_assumptions == free:
+                free = c.free_assumptions
+                break
     min_theory = theory_join(m.min_theory, min_language(u.formula))
     return Proof(_TOKEN, "imp_intro", (m,), (u,), Imp(u.formula, m.conclusion),
                  free, min_theory)

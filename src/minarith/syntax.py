@@ -18,20 +18,33 @@ from weakref import ref
 
 
 class _Ref(ref):
-    # A weak reference to a node that knows the node's key in _NODES.
+    # A weak reference to a node that knows the node's key in its table.
     __slots__ = ("key",)
 
 
-# The hash-consing table: (class, constructor arguments) -> weak reference
-# to the one live node with them.  Arguments that are nodes compare by
-# identity; strings, numbers and other values by value.  An entry goes when
-# its node is freed.
-_NODES: dict[tuple, _Ref] = {}
+# The hash-consing tables, one per class that ``node`` makes: constructor
+# arguments -> weak reference to the one live node with them.  Arguments
+# that are nodes compare by identity; strings, numbers and other values by
+# value.  An entry goes when its node is freed.  With one table per class a
+# key is the argument tuple itself, and a table that outgrows its size is
+# copied alone rather than with every other class's nodes.
+_TABLES: list[dict[tuple, _Ref]] = []
 
 
-def _forget(r: _Ref) -> None:
-    if _NODES.get(r.key) is r:  # not an entry made since r's node died
-        del _NODES[r.key]
+def live_nodes() -> int:
+    """The number of interned nodes alive now."""
+    return sum(map(len, _TABLES))
+
+
+def _new_table():
+    table: dict[tuple, _Ref] = {}
+
+    def forget(r: _Ref) -> None:
+        if table.get(r.key) is r:  # not an entry made since r's node died
+            del table[r.key]
+
+    _TABLES.append(table)
+    return table, forget
 
 
 class Node:
@@ -50,16 +63,16 @@ class Node:
                 raise TypeError(f"{cls.__name__}() takes the arguments "
                                 f"({', '.join(names)})")
             args = tuple(map(values.__getitem__, names))
-        key = (cls, *args)
-        r = _NODES.get(key)
+        table = cls._table
+        r = table.get(args)
         if r is None or (n := r()) is None:
             n = object.__new__(cls)
             for set_field, a in zip(cls._setters, args):
                 set_field(n, a)
             if (post := cls._post_init) is not None:
                 post(n)
-            r = _NODES[key] = _Ref(n, _forget)
-            r.key = key
+            r = table[args] = _Ref(n, cls._forget)
+            r.key = args
         return n
 
     def __post_init__(self):
@@ -97,6 +110,7 @@ def node(cls):
     cls._setters = tuple(vars(cls)[n].__set__ for n in fields)
     post = cls.__post_init__  # None when it is the no-op: not called
     cls._post_init = None if post is Node.__post_init__ else post
+    cls._table, cls._forget = _new_table()
     return cls
 
 
@@ -217,6 +231,8 @@ class NameSupply:
     work owns its own supply, everything else stays pure.
     """
 
+    __slots__ = ("next_index",)
+
     def __init__(self, start: int = 0):
         self.next_index = start
 
@@ -264,7 +280,9 @@ def union(a: frozenset, b: frozenset) -> frozenset:
 
 def bind(x, fv: frozenset) -> frozenset:
     """The free variables ``fv`` of a body, seen from outside a binder on ``x``."""
-    return fv - {x} if x in fv else fv
+    if x not in fv:
+        return fv
+    return fv - {x} if len(fv) > 1 else NO_VARS
 
 
 # ---------------------------------------------------------------------------

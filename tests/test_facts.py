@@ -141,7 +141,7 @@ def test_certify_and_recheck_keep_no_node_alive():
                                       language=TheoryId.MA))
                 for s in range(300)]
     gc.collect()
-    before = len(syntax._NODES)
+    before = syntax.live_nodes()
     for a in formulas:
         for c in ClassId:
             m = certify(a, c)
@@ -150,7 +150,7 @@ def test_certify_and_recheck_keep_no_node_alive():
     del a, m
     gc.collect()
     # The formulas are alive, so this counts what their kept facts hold.
-    assert len(syntax._NODES) == before
+    assert syntax.live_nodes() == before
     # A freed fact is taken off its node, so it costs the node nothing.
     stack = list(formulas)
     while stack:

@@ -31,11 +31,12 @@ from itertools import product
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Formula, Imp,
-                      TheoryId, in_language, neg, subst_bot_falsity)
+                      TheoryId, in_language, neg, subformulas,
+                      subst_bot_falsity)
 from .kernel import (BotPlus, Proof, Truth, all_elim, all_intro, and_intro,
                      assume, axiom, fresh_assumption, imp_elim, imp_elims,
-                     imp_intro, map_proof, proj)
-from .syntax import BOOL, FF, TT, NameSupply, Node, Var
+                     imp_intro, proj)
+from .syntax import BOOL, FF, TT, NameSupply, Node, Var, fold
 from .derived import (bool_generalize, bool_instances, prove_case_distinction,
                       prove_efq)
 
@@ -75,13 +76,7 @@ class ClassReport:
 # Membership
 
 
-def _subformulas(a: Formula) -> tuple[Formula, ...]:
-    match a:
-        case Imp(p, c) | And(p, c):
-            return (p, c)
-        case All(_, b):
-            return (b,)
-    return ()
+_MA = TheoryId.MA
 
 
 def _flag_rule(a: Formula, kids) -> tuple[bool, ...]:
@@ -118,12 +113,12 @@ def _flags(a: Formula) -> tuple[bool, ...]:
     """
     hit = getattr(a, "_flags", None)
     if hit is None:
-        hit = map_proof(a, _flag_visit, _unflagged)
+        hit = fold(a, _flag_visit, _unflagged)
     return hit
 
 
 def _unflagged(a: Formula) -> tuple[Formula, ...]:
-    return _subformulas(a) if getattr(a, "_flags", None) is None else ()
+    return subformulas(a) if getattr(a, "_flags", None) is None else ()
 
 
 def _flag_visit(a: Formula, kids) -> tuple[bool, ...]:
@@ -139,16 +134,19 @@ def in_Q(a: Formula) -> bool:
     return _flags(a)[0]
 
 
-def in_QF(a: Formula) -> bool:
-    if not in_language(a, TheoryId.MA):
+def _ma_flags(a: Formula) -> tuple[bool, ...]:
+    """The flags of ``a``, which must be an MA formula."""
+    if not in_language(a, _MA):
         raise LanguageError("class membership is defined on MA formulas")
-    return _flags(a)[1]
+    return _flags(a)
+
+
+def in_QF(a: Formula) -> bool:
+    return _ma_flags(a)[1]
 
 
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
-    if not in_language(a, TheoryId.MA):
-        raise LanguageError("class membership is defined on MA formulas")
-    report = ClassReport(*_flags(a))
+    report = ClassReport(*_ma_flags(a))
     if with_certificates:
         for c in ClassId:
             cert = certify(a, c)
@@ -161,18 +159,13 @@ def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
 # Certificate synthesis
 
 
-_MA = TheoryId.MA
-
-
 def certify(a: Formula, c: ClassId,
             supply: NameSupply | None = None) -> Proof | None:
     """Closed MA proof of the class property of ``a``, if ``a`` is in ``c``."""
-    if not in_language(a, TheoryId.MA):
-        raise LanguageError("class membership is defined on MA formulas")
+    if not ClassReport(*_ma_flags(a)).flag(c):
+        return None
     if supply is None:
         supply = NameSupply()
-    if not ClassReport(*_flags(a)).flag(c):
-        return None
     if c == ClassId.Q:
         return prove_case_distinction(a, BOT, _MA, supply)
     if c == ClassId.QF:
@@ -361,10 +354,11 @@ def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
 
 def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
     bf = af.body
-    if c == ClassId.DEFINITE:
-        # relevant bodies are definite as well, so one subcase suffices
-        ih = _cert(b, ClassId.DEFINITE, supply, memo)
-        u = fresh_assumption("u", af, supply)
+    if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
+        # along forall x B^F -> forall x B (or its converse); relevant
+        # bodies are definite as well, so one subcase suffices
+        ih = _cert(b, c, supply, memo)
+        u = fresh_assumption("u", af if c == ClassId.DEFINITE else a, supply)
         body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
@@ -399,11 +393,6 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
                                        all_elim(assume(w), Var(x), supply)))
         inner = imp_elim(ih, imp_intro(nb, imp_elim(assume(v), refute)))
         return imp_intro(v, all_intro(x, inner))
-    if c == ClassId.IRRELEVANT:
-        ih = _cert(b, ClassId.IRRELEVANT, supply, memo)
-        u = fresh_assumption("u", a, supply)
-        body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
-        return imp_intro(u, body)
     raise ValueError(f"unexpected class {c!r}")
 
 

@@ -16,8 +16,9 @@ from .formula import (FALSITY, All, And, Atom, Bot, Ex, Formula, Imp, Or,
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, build, fresh_assumption, imp_elim, imp_elims,
-                     imp_intro, imp_intros, map_proof, proj)
-from .syntax import BOOL, FF, NO_VARS, TT, Const, NameSupply, ObjVar, Term, Var
+                     imp_intro, imp_intros, proj)
+from .syntax import (BOOL, FF, NO_VARS, TT, Const, NameSupply, ObjVar, Term,
+                     Var, fold)
 
 
 def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
@@ -235,7 +236,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
                 return all_intro(binders[id(n)], kids[0])
         return build(m.rule, kids, m.params)
 
-    return map_proof(m, visit, children)
+    return fold(m, visit, children)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from weakref import ref
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
-                     NameSupply, ObjVar, Term, Var, bind, keep, kept, node,
-                     union)
+                     NameSupply, ObjVar, Term, Var, bind, fold, keep, kept,
+                     kept_or_make, node, union)
 
 
 class Formula(Expr):
@@ -287,14 +287,8 @@ def instance(a: All, t: Term, supply: NameSupply | None = None) -> Formula:
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
-    out = kept(a, "_inst", ref(t))
-    if out is None:
-        supply = supply or NameSupply()
-        start = supply.next_index
-        out = subst(b, {x: t}, supply=supply)
-        if supply.next_index == start:
-            keep(a, "_inst", out, ref(t))
-    return out
+    return kept_or_make(a, "_inst", lambda s: subst(b, {x: t}, supply=s),
+                        supply, ref(t))
 
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,
@@ -325,72 +319,84 @@ def subst_bot_falsity(a: Formula) -> Formula:
     renames no binder, as ``FALSITY`` is closed."""
     if a.has_strong:
         raise LanguageError("bottom substitution needs a formula without or/exists")
-    if not a.has_bot:
-        return a
-    af = kept(a, "_af")
-    if af is None:
-        match a:
-            case Bot():
-                af = FALSITY
-            case Imp(l, r) | And(l, r):
-                af = type(a)(subst_bot_falsity(l), subst_bot_falsity(r))
-            case All(x, b):
-                af = All(x, subst_bot_falsity(b))
-        keep(a, "_af", af)
-    return af
+    af = kept(a, "_af") if a.has_bot else a
+    if af is not None:
+        return af
+    # The walk enters no node whose A^F is known (it has no bottom, or a
+    # kept A^F).  It holds each such A^F in ``images`` until it ends, so
+    # one freed meanwhile cannot leave a node without its children's images.
+    images = {}
+
+    def children(n: Formula):
+        af = kept(n, "_af") if n.has_bot else n
+        if af is None:
+            return subformulas(n)
+        images[n] = af
+        return ()
+
+    def visit(n: Formula, kids) -> Formula:
+        af = images.get(n)
+        if af is None:
+            match n:
+                case Bot():
+                    af = FALSITY
+                case All(x, _):
+                    af = All(x, *kids)
+                case _:
+                    af = type(n)(*kids)
+            keep(n, "_af", af)
+        return af
+
+    return fold(a, visit, children, images)
+
+
+def subformulas(a: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``a``."""
+    match a:
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return (l, r)
+        case All(_, b) | Ex(_, b):
+            return (b,)
+    return ()
 
 
 def gg_translate(a: Formula) -> Formula:
     """Goedel-Gentzen negative translation into the NA language."""
     if a.has_bot:
         raise LanguageError("negative translation is defined on HA/PA formulas")
+    return fold(a, _gg, subformulas)
 
+
+def _gg(a: Formula, kids) -> Formula:
     match a:
         case Atom(t):
-            if t == FF:
-                return a
-            return neg(neg(a))
-        case Imp(p, c):
-            return Imp(gg_translate(p), gg_translate(c))
-        case And(l, r):
-            return And(gg_translate(l), gg_translate(r))
-        case All(x, b):
-            return All(x, gg_translate(b))
-        case Or(l, r):
-            return neg(And(neg(gg_translate(l)), neg(gg_translate(r))))
-        case Ex(x, b):
-            return neg(All(x, neg(gg_translate(b))))
-    raise ValueError(f"unexpected formula {a!r}")
+            return a if t == FF else neg(neg(a))
+        case Imp() | And():
+            return type(a)(*kids)
+        case All(x, _):
+            return All(x, *kids)
+        case Or():
+            return neg(And(*map(neg, kids)))
+        case Ex(x, _):
+            return neg(All(x, neg(*kids)))
+
+
+def _tree_size(_, kids) -> int:
+    return 1 + sum(kids)
 
 
 def formula_size(a: Formula) -> int:
-    """Number of formula nodes; atoms and bottom count one."""
-    n = 1
-    for b in a.children:
-        if isinstance(b, Formula):
-            n += formula_size(b)
-    return n
+    """Number of formula nodes written out as a tree; atoms and bottom count
+    one.  A subformula shared in a DAG is measured once."""
+    return fold(a, _tree_size, subformulas)
 
 
 def written_size(a: Formula | Term, sizes: dict) -> int:
     """Nodes of a formula or term written out as a tree, terms included.
 
     ``sizes`` memoizes by node, so a node shared in a DAG is measured once.
-    The walk keeps an explicit stack, so depth is not limited.
     """
-    n = sizes.get(a)
-    if n is not None:
-        return n
-    stack = [(a, None)]
-    while stack:
-        b, kids = stack.pop()
-        if kids is not None:
-            sizes[b] = 1 + sum(map(sizes.__getitem__, kids))
-        elif b not in sizes:
-            kids = b.children
-            stack.append((b, kids))
-            stack += [(c, None) for c in kids if c not in sizes]
-    return sizes[a]
+    return fold(a, _tree_size, images=sizes)
 
 
 def brief_repr(a: Formula, limit: int = 100) -> str:

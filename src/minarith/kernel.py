@@ -15,8 +15,6 @@ condition again; it only stops recomputing such pure results.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .errors import EigenvariableError, ShapeError, TheoryError
 from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       Or, TheoryId, alpha_eq_formula, brief_repr, imp,
@@ -24,7 +22,7 @@ from .formula import (BOT, FALSITY, TRUTH, All, And, Ex, Formula, Imp,
                       theory_leq)
 from .syntax import (BOOL, FF, NAT, SUCC, TT, ZERO, App, Const, ListType,
                      NO_VARS, NameSupply, Node, ObjVar, Term, Var, app, bind,
-                     keep, kept, node, union)
+                     fold, kept_or_make, node, union)
 
 
 @node
@@ -136,14 +134,7 @@ def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
     """The concluding formula of an axiom scheme instance, kept on ``ax``
     (weakly) if it draws no index, as every one but some ``IndList`` and
     ``ExIntro`` schemas: then it is the same node for any supply."""
-    schema = kept(ax, "_schema")
-    if schema is None:
-        supply = supply or NameSupply()
-        start = supply.next_index
-        schema = _schema(ax, supply)
-        if supply.next_index == start:
-            keep(ax, "_schema", schema)
-    return schema
+    return kept_or_make(ax, "_schema", lambda s: _schema(ax, s), supply)
 
 
 def _schema(ax: AxiomId, supply: NameSupply) -> Formula:
@@ -387,38 +378,13 @@ def build(rule: str, premises, params=(),
     return make(premises, params, supply)
 
 
-def map_proof(root, visit, children=attrgetter("children")):
-    """Post-order map over a proof DAG, with an explicit stack.
-
-    ``visit(node, images)`` returns a node's image from its children's.  Each
-    distinct node is visited once, memoized on the node: proofs are immutable
-    and hash by identity.  ``children`` lets the walk run over other acyclic
-    nodes, such as formulas or the (proof, substitution) nodes of
-    ``derived``, which are interned, so that equal nodes are one.
-    """
-    images = {}
-    stack = [(root, None)]
-    while stack:
-        node, kids = stack.pop()
-        if kids is not None:
-            images[node] = visit(
-                node, [images[k] for k in kids] if kids else kids)
-        elif node not in images:
-            kids = children(node)
-            stack.append((node, kids))
-            for k in reversed(kids):
-                if k not in images:
-                    stack.append((k, None))
-    return images[root]
-
-
 def recheck(m: Proof) -> Proof:
     """Rebuild a proof bottom-up through the constructors.
 
     Used to confirm that the cached judgement of a stored or deserialized
     proof really is derivable.  Shared subproofs are rebuilt once.
     """
-    return map_proof(m, _rebuild)
+    return fold(m, _rebuild)
 
 
 def _rebuild(m: Proof, premises) -> Proof:

@@ -10,6 +10,7 @@ from a finite pool.
 from __future__ import annotations
 
 import random
+from itertools import count
 
 from .errors import LanguageError
 from .formula import (BOT, FALSITY, All, And, Atom, Bot, Ex, Formula,
@@ -19,7 +20,7 @@ from .kernel import (BotPlus, ExIntro, Lem, OrIntroL, OrIntroR,
                      Proof, Truth, all_elim, all_intro, and_intro, assume,
                      axiom, fresh_assumption, imp_elim, imp_intro, proj)
 from .syntax import (BOOL, FF, NAT, TT, ZERO, NameSupply, Node,
-                     ObjType, ObjVar, Term, Var, node)
+                     ObjType, ObjVar, Term, Var, fold, node)
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +52,12 @@ class Unknown(SearchVerdict):
 
 def _term_pool(a: Formula) -> tuple[Term, ...]:
     acc: set[Term] = {TT, FF, ZERO}
-    stack = [a]
-    while stack:
-        n = stack.pop()
+
+    def visit(n, _):
         if isinstance(n, Term):
             acc.add(n)
-        stack += n.children
+
+    fold(a, visit)
     return tuple(sorted(acc, key=repr))
 
 
@@ -199,14 +200,13 @@ class GenConfig(Node):
 def gen_formula(cfg: GenConfig) -> Formula:
     """Deterministic-in-seed random formula within the configured language."""
     rng = random.Random(cfg.seed)
-    state = {"next": 0}
-    out = _gen(rng, max(cfg.max_size, 1), cfg, (), state)
+    out = _gen(rng, max(cfg.max_size, 1), cfg, (), count())
     assert in_language(out, cfg.language)
     assert formula_size(out) <= max(cfg.max_size, 1)
     return out
 
 
-def _gen(rng, size: int, cfg: GenConfig, bound_bools, state) -> Formula:
+def _gen(rng, size: int, cfg: GenConfig, bound_bools, names) -> Formula:
     lang = cfg.language
     if size <= 1:
         if lang == TheoryId.MA and rng.random() < 0.25:
@@ -217,39 +217,24 @@ def _gen(rng, size: int, cfg: GenConfig, bound_bools, state) -> Formula:
             return Atom(Var(rng.choice(bound_bools)))
         return Atom(rng.choice(choices))
 
-    connectives = ["all"]
+    # The order of this list fixes which connective each seed draws.
+    strong = lang in (TheoryId.HA, TheoryId.PA)
+    connectives = [All]
     if size >= 3:
-        connectives += ["imp", "imp", "and"]
-        if lang in (TheoryId.HA, TheoryId.PA):
-            connectives.append("or")
-    if lang in (TheoryId.HA, TheoryId.PA):
-        connectives.append("ex")
-    match rng.choice(connectives):
-        case "imp":
-            split = rng.randint(1, size - 2)
-            return Imp(_gen(rng, split, cfg, bound_bools, state),
-                       _gen(rng, size - 1 - split, cfg, bound_bools, state))
-        case "and":
-            split = rng.randint(1, size - 2)
-            return And(_gen(rng, split, cfg, bound_bools, state),
-                       _gen(rng, size - 1 - split, cfg, bound_bools, state))
-        case "all":
-            ty = BOOL if rng.random() < 0.7 else NAT
-            x = ObjVar("x", state["next"], ty)
-            state["next"] += 1
-            inner = bound_bools + (x,) if ty == BOOL else bound_bools
-            return All(x, _gen(rng, size - 1, cfg, inner, state))
-        case "or":
-            split = rng.randint(1, size - 2)
-            return Or(_gen(rng, split, cfg, bound_bools, state),
-                      _gen(rng, size - 1 - split, cfg, bound_bools, state))
-        case "ex":
-            ty = BOOL if rng.random() < 0.7 else NAT
-            x = ObjVar("x", state["next"], ty)
-            state["next"] += 1
-            inner = bound_bools + (x,) if ty == BOOL else bound_bools
-            return Ex(x, _gen(rng, size - 1, cfg, inner, state))
-    raise AssertionError("unreachable")
+        connectives += [Imp, Imp, And]
+        if strong:
+            connectives.append(Or)
+    if strong:
+        connectives.append(Ex)
+    cls = rng.choice(connectives)
+    if cls in (All, Ex):
+        ty = BOOL if rng.random() < 0.7 else NAT
+        x = ObjVar("x", next(names), ty)
+        inner = bound_bools + (x,) if ty == BOOL else bound_bools
+        return cls(x, _gen(rng, size - 1, cfg, inner, names))
+    split = rng.randint(1, size - 2)
+    return cls(_gen(rng, split, cfg, bound_bools, names),
+               _gen(rng, size - 1 - split, cfg, bound_bools, names))
 
 
 # ---------------------------------------------------------------------------

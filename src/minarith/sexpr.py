@@ -34,10 +34,10 @@ from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
                       written_size)
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExElim, ExIntro,
                      IndList, IndNat, Lem, OrElim, OrIntroL, OrIntroR, Proof,
-                     Truth, assume, axiom, build, map_proof)
+                     Truth, assume, axiom, build)
 from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
                      NatType, ObjType, ObjVar, Prod, Term, TypeVar, Var,
-                     _CONST_SPECS)
+                     _CONST_SPECS, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +534,7 @@ def print_proof(m: Proof) -> str:
         image.append(text + ")")
         return tuple(image)
 
-    stack = [map_proof(m, parts)]
+    stack = [fold(m, parts)]
     # Label of each shared image, None until it is first printed.
     labels = dict.fromkeys(i for i, n in uses.items() if n > 1)
     out: list[str] = []

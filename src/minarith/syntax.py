@@ -5,11 +5,13 @@ type mismatches with ``TypeError`` at creation time, so ``type_of`` is total.
 Types, variables and terms are interned: equal values are one object (see
 ``node``).  Each term carries its free variables, set at construction from
 its children's.  Substitution and alpha-equality walk terms and formulas
-together, in ``formula``.
+together, in ``formula``; ``fold`` is the one post-order walk over DAGs of
+nodes and proofs.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from weakref import ref
 
 
@@ -114,6 +116,36 @@ def node(cls):
     return cls
 
 
+def fold(root, visit, children=attrgetter("children"), images=None):
+    """Post-order fold over a DAG of immutable nodes, with an explicit stack.
+
+    ``visit(node, kids)`` returns a node's image from the list of its
+    children's images.  Each distinct node is visited once, memoized in
+    ``images`` on the node, so a walk keeps a DAG's sharing and its depth is
+    not limited.  ``children`` gives a node's children: proofs', terms' and
+    formulas' own by default, or, say, only the subformulas of a formula.
+    A caller may pass ``images`` to share images between walks; the fold
+    returns at once when ``root`` is already in it.
+    """
+    if images is None:
+        images = {}
+    elif root in images:
+        return images[root]
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            images[node] = visit(
+                node, [images[k] for k in kids] if kids else kids)
+        elif node not in images:
+            kids = children(node)
+            stack.append((node, kids))
+            for k in reversed(kids):
+                if k not in images:
+                    stack.append((k, None))
+    return images[root]
+
+
 class _Fact(ref):
     # A weak reference to a fact kept on a node, under a slot and, if the
     # slot holds a dict, a key.  When the fact is freed, the callback takes
@@ -141,6 +173,21 @@ def keep(n: Node, slot: str, fact, key=None) -> None:
     if facts is None:
         object.__setattr__(n, slot, facts := {})
     facts[key] = r
+
+
+def kept_or_make(n: Node, slot: str, make, supply: NameSupply | None,
+                 key=None):
+    """``make(supply)``, a pure result about ``n``, kept on ``n`` as ``keep``
+    does if making it drew no index from ``supply``: then it is the same
+    node for any supply, so the kept result is what making it again gives."""
+    out = kept(n, slot, key)
+    if out is None:
+        supply = supply or NameSupply()
+        start = supply.next_index
+        out = make(supply)
+        if supply.next_index == start:
+            keep(n, slot, out, key)
+    return out
 
 
 def _unkeep(r: _Fact) -> None:
@@ -395,16 +442,3 @@ def type_of(t: Term) -> ObjType:
 def free_term_vars(t: Term) -> frozenset[ObjVar]:
     return t.fv
 
-
-def max_var_index(t: Term) -> int:
-    """Largest variable index occurring anywhere in ``t`` (-1 if none)."""
-    match t:
-        case Var(v):
-            return v.index
-        case Const():
-            return -1
-        case App(fun, arg):
-            return max(max_var_index(fun), max_var_index(arg))
-        case Lam(bound, body):
-            return max(bound.index, max_var_index(body))
-    raise ValueError(f"unexpected term {t!r}")

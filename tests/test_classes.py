@@ -16,7 +16,7 @@ from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
 from minarith import classes
 from minarith.errors import LanguageError
 from minarith.formula import All, And, Atom, Bot
-from minarith.kernel import map_proof
+from minarith.syntax import fold
 from minarith.syntax import BOOL, NAT
 
 from conftest import remark_st_formula, remark_st_proof
@@ -105,7 +105,7 @@ class TestQ:
             cert = certify(a, c)
             assert time.process_time() - start < 1.0
             visited = []
-            map_proof(cert, lambda m, kids: visited.append(m))
+            fold(cert, lambda m, kids: visited.append(m))
             assert len(visited) <= 300 * 40
             s = subst_bot_falsity(a) if c == ClassId.QF else a
             assert alpha_eq_formula(

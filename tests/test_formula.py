@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import sys
+import time
 
 import pytest
 
@@ -171,6 +172,32 @@ def test_formula_size():
     assert formula_size(BOT) == 1
     assert formula_size(imp(TRUTH, TRUTH, TRUTH)) == 5
     assert formula_size(All(n_nat, And(TRUTH, FALSITY))) == 4
+
+
+def test_formula_walks_are_not_limited_by_depth():
+    # tt -> (tt -> ... a), 100k deep; interning makes ``is`` compare the
+    # expected chain in O(1).
+    def chain(leaf):
+        a = leaf
+        for _ in range(100_000):
+            a = Imp(leaf, a)
+        return a
+
+    assert formula_size(chain(TRUTH)) == 200_001
+    assert gg_translate(chain(TRUTH)) is chain(neg(neg(TRUTH)))
+    assert subst_bot_falsity(chain(BOT)) is chain(FALSITY)
+
+
+def test_formula_walks_visit_a_shared_node_once():
+    def ladder(leaf):  # 40 levels of And(a, a): 2**41 - 1 nodes as a tree
+        for _ in range(40):
+            leaf = And(leaf, leaf)
+        return leaf
+
+    start = time.process_time()
+    assert formula_size(ladder(TRUTH)) == 2 ** 41 - 1
+    assert gg_translate(ladder(TRUTH)) is ladder(neg(neg(TRUTH)))
+    assert time.process_time() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

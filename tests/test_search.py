@@ -1,12 +1,15 @@
 """Bounded search oracle and random generators."""
 
+from hashlib import sha256
+
 import pytest
 
 from minarith import (BOT, Derivable, FALSITY, GenConfig, Imp,
                       NameSupply, Or, TheoryId, TRUTH, Unknown,
                       alpha_eq_formula, bounded_derivable, classify,
                       formula_size, gen_formula, gen_proof, imp, in_Q,
-                      in_language, neg, prove_case_distinction, recheck)
+                      in_language, neg, print_formula, print_proof,
+                      prove_case_distinction, recheck)
 from minarith.errors import LanguageError
 
 
@@ -115,6 +118,21 @@ class TestGenFormula:
             hits["R"] += r.in_R
             hits["I"] += r.in_I
         assert all(v >= 1 for v in hits.values()), hits
+
+
+def test_generated_text_is_fixed():
+    # The benchmark's inputs come from these generators: a change to them
+    # must keep every seed's formula and proof.
+    h = sha256()
+    for lang in TheoryId:
+        for size in (4, 9, 12, 15):
+            for seed in range(1500):
+                cfg = GenConfig(seed, size, lang)
+                h.update(print_formula(gen_formula(cfg)).encode())
+    for seed in range(300):
+        h.update(print_proof(gen_proof(seed)).encode())
+    assert h.hexdigest() == \
+        "0feffa3e1fd157340985b8ba22d528730096ff08ccb4881ce9b8ecabb9c3e9f3"
 
 
 class TestGenProof:

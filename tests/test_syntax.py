@@ -12,7 +12,6 @@ from minarith import (BOOL, BOT, NAT, TRUTH, All, App, Arrow,
                       TypeVar, Var, ZERO, alpha_eq, app, arrow, assume,
                       free_term_vars, inspect, subst_term, type_of)
 from minarith import sexpr
-from minarith.syntax import max_var_index
 
 x_nat = ObjVar("x", 0, NAT)
 y_nat = ObjVar("y", 1, NAT)
@@ -113,10 +112,6 @@ class TestNameSupply:
         taken = {ObjVar("x", i, NAT) for i in range(5)}
         got = sp.fresh_avoiding(x_nat, taken)
         assert got not in taken
-
-    def test_max_var_index(self):
-        t = Lam(y_nat, App(Var(f_var), Var(x_nat)))
-        assert max_var_index(t) == 2
 
 
 def test_typevar_distinct_names():

@@ -4,7 +4,7 @@ visited once per distinct node."""
 from minarith import (TRUTH, Imp, NameSupply, TheoryId, parse_proof,
                       print_formula, print_proof, prove_efq, prove_gg_equiv,
                       read_sexpr, recheck, subst_bot_proof)
-from minarith.kernel import map_proof
+from minarith.syntax import fold
 
 
 def distinct_nodes(m) -> int:
@@ -60,7 +60,7 @@ def test_ladder_round_trip_keeps_sharing():
 def test_map_proof_visits_each_distinct_node_once():
     p = ladder(6)
     visits = []
-    map_proof(p, lambda node, kids: visits.append(node))
+    fold(p, lambda node, kids: visits.append(node))
     assert len(visits) == len({id(v) for v in visits}) == distinct_nodes(p)
 
 

@@ -37,8 +37,7 @@ from .kernel import (BotPlus, Proof, Truth, all_elim, all_intro, and_intro,
                      assume, axiom, fresh_assumption, imp_elim, imp_elims,
                      imp_intro, proj)
 from .syntax import BOOL, FF, TT, NameSupply, Node, Var, fold
-from .derived import (bool_generalize, bool_instances, prove_case_distinction,
-                      prove_efq)
+from .derived import _cd, _efq, bool_generalize, bool_instances, synthesize
 
 
 class ClassId(enum.Enum):
@@ -148,10 +147,14 @@ def in_QF(a: Formula) -> bool:
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
     report = ClassReport(*_ma_flags(a))
     if with_certificates:
+        # one supply and one memo: a certificate within two classes'
+        # certificates, such as the GOAL certificate of a premise, is
+        # built once
+        supply, memo = NameSupply(), {}
         for c in ClassId:
-            cert = certify(a, c)
-            if cert is not None:
-                report.certificates[c] = cert
+            if report.flag(c):
+                report.certificates[c] = synthesize((_cert, a, c), supply,
+                                                    memo)
     return report
 
 
@@ -164,37 +167,26 @@ def certify(a: Formula, c: ClassId,
     """Closed MA proof of the class property of ``a``, if ``a`` is in ``c``."""
     if not ClassReport(*_ma_flags(a)).flag(c):
         return None
-    if supply is None:
-        supply = NameSupply()
-    if c == ClassId.Q:
-        return prove_case_distinction(a, BOT, _MA, supply)
-    if c == ClassId.QF:
-        return prove_case_distinction(subst_bot_falsity(a), BOT, _MA, supply)
-    # certificates by (formula, class), for this call: they draw on supply
-    return _cert(a, c, supply, {})
+    return synthesize((_cert, a, c), supply, {})
 
 
-def _cert(a: Formula, c: ClassId, supply: NameSupply, memo) -> Proof:
-    key = (a, c)
-    out = memo.get(key)
-    if out is not None:
-        return out
+def _cert(supply: NameSupply, a: Formula, c: ClassId):
+    """The certificate of ``a`` in ``c``, as a lemma of ``synthesize``."""
     af = subst_bot_falsity(a)
+    if c in (ClassId.Q, ClassId.QF):
+        return (yield (_cd, a if c == ClassId.Q else af, BOT, _MA))
     match a:
         case Bot():
-            out = _cert_bot(c, supply)
+            return _cert_bot(c, supply)
         case Atom():
-            out = _cert_atom(a, c, supply)
+            return _cert_atom(a, c, supply)
         case Imp(p, q):
-            out = _cert_imp(a, p, q, af, c, supply, memo)
+            return (yield from _cert_imp(a, p, q, af, c, supply))
         case And(l, r):
-            out = _cert_and(a, l, r, af, c, supply, memo)
+            return (yield from _cert_and(a, l, r, af, c, supply))
         case All(x, b):
-            out = _cert_all(a, x, b, af, c, supply, memo)
-        case _:
-            raise ValueError(f"unexpected formula {a!r}")
-    memo[key] = out
-    return out
+            return (yield from _cert_all(a, x, b, af, c, supply))
+    raise ValueError(f"unexpected formula {a!r}")
 
 
 def _cert_bot(c: ClassId, supply: NameSupply) -> Proof:
@@ -226,7 +218,7 @@ def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
     raise ValueError(f"atoms carry no {c.value} certificate")
 
 
-def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
+def _cert_imp(a, p, q, af, c, supply):
     _, pqf, pd, pg, pr, pi = _flags(p)
     _, _, qd, qg, qr, qi = _flags(q)
     pf, qf = af.prem, af.concl  # A^F of an implication is pf -> qf
@@ -236,14 +228,14 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
         v = fresh_assumption("v", p, supply)
         if pi and qd:
             # premise irrelevant, conclusion definite
-            ih_p = _cert(p, ClassId.IRRELEVANT, supply, memo)
-            ih_q = _cert(q, ClassId.DEFINITE, supply, memo)
+            ih_p = yield (_cert, p, ClassId.IRRELEVANT)
+            ih_q = yield (_cert, q, ClassId.DEFINITE)
             body = imp_elim(ih_q, imp_elim(assume(u),
                                            imp_elim(ih_p, assume(v))))
             return imp_intro(u, imp_intro(v, body))
         # premise goal, conclusion relevant
-        ih_p = _cert(p, ClassId.GOAL, supply, memo)
-        ih_q = _cert(q, ClassId.RELEVANT, supply, memo)
+        ih_p = yield (_cert, p, ClassId.GOAL)
+        ih_q = yield (_cert, q, ClassId.RELEVANT)
         w = fresh_assumption("w", neg(qf), supply)
         z = fresh_assumption("z", pf, supply)
         inner = imp_elim(axiom(BotPlus(), _MA),
@@ -257,36 +249,37 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
         if qg and (pr or (pd and pqf)):
-            ih_q = _cert(q, ClassId.GOAL, supply, memo)
+            ih_q = yield (_cert, q, ClassId.GOAL)
             y = fresh_assumption("y", qf, supply)
             z = fresh_assumption("z", pf, supply)
             qf_bot = imp_intro(y, imp_elim(assume(v), imp_intro(z, assume(y))))
             # not p^F -> bot: ex falso turns p^F -> F into p^F -> q^F
             nb = fresh_assumption("nb", neg(pf), supply)
+            efq = yield (_efq, qf, _MA)
             refute = imp_intro(nb, imp_elim(assume(v), imp_intro(z, imp_elim(
-                prove_efq(qf, _MA, supply), imp_elim(assume(nb), assume(z))))))
+                efq, imp_elim(assume(nb), assume(z))))))
             if pr:
-                ih_p = _cert(p, ClassId.RELEVANT, supply, memo)
+                ih_p = yield (_cert, p, ClassId.RELEVANT)
                 have_q = imp_elim(assume(u), imp_elim(ih_p, refute))
                 return imp_intro(u, imp_intro(v, imp_elims(ih_q, have_q,
                                                            qf_bot)))
             # definite QF premise: split on p^F
-            ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
+            ih_p = yield (_cert, p, ClassId.DEFINITE)
             have_q = imp_elim(assume(u), imp_elim(ih_p, assume(z)))
             arg1 = imp_intro(z, imp_elims(ih_q, have_q, qf_bot))
-            cd = prove_case_distinction(pf, BOT, _MA, supply)
+            cd = yield (_cd, pf, BOT, _MA)
             return imp_intro(u, imp_intro(v, imp_elims(cd, arg1, refute)))
         # premise definite, conclusion irrelevant
-        ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
-        ih_q = _cert(q, ClassId.IRRELEVANT, supply, memo)
+        ih_p = yield (_cert, p, ClassId.DEFINITE)
+        ih_q = yield (_cert, q, ClassId.IRRELEVANT)
         z = fresh_assumption("z", pf, supply)
         impl_f = imp_intro(z, imp_elim(
             ih_q, imp_elim(assume(u), imp_elim(ih_p, assume(z)))))
         return imp_intro(u, imp_intro(v, imp_elim(assume(v), impl_f)))
 
     if c == ClassId.RELEVANT:
-        ih_p = _cert(p, ClassId.GOAL, supply, memo)
-        ih_q = _cert(q, ClassId.RELEVANT, supply, memo)
+        ih_p = yield (_cert, p, ClassId.GOAL)
+        ih_q = yield (_cert, q, ClassId.RELEVANT)
         u = fresh_assumption("u", Imp(neg(af), BOT), supply)
         v = fresh_assumption("v", p, supply)
         nc = fresh_assumption("nc", neg(qf), supply)
@@ -300,8 +293,8 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
         return imp_intro(u, imp_intro(v, body))
 
     if c == ClassId.IRRELEVANT:
-        ih_p = _cert(p, ClassId.DEFINITE, supply, memo)
-        ih_q = _cert(q, ClassId.IRRELEVANT, supply, memo)
+        ih_p = yield (_cert, p, ClassId.DEFINITE)
+        ih_q = yield (_cert, q, ClassId.IRRELEVANT)
         u = fresh_assumption("u", a, supply)
         z = fresh_assumption("z", pf, supply)
         body = imp_elim(ih_q, imp_elim(assume(u), imp_elim(ih_p, assume(z))))
@@ -310,20 +303,20 @@ def _cert_imp(a, p, q, af, c, supply, memo) -> Proof:
     raise ValueError(f"unexpected class {c!r}")
 
 
-def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
+def _cert_and(a, l, r, af, c, supply):
     lf, rf = af.left, af.right
     if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
         # componentwise along A^F /\ B^F -> A /\ B (or its converse)
-        ih_l = _cert(l, c, supply, memo)
-        ih_r = _cert(r, c, supply, memo)
+        ih_l = yield (_cert, l, c)
+        ih_r = yield (_cert, r, c)
         source = af if c == ClassId.DEFINITE else a
         u = fresh_assumption("u", source, supply)
         body = and_intro(imp_elim(ih_l, proj(0, assume(u))),
                          imp_elim(ih_r, proj(1, assume(u))))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
-        ih_l = _cert(l, ClassId.GOAL, supply, memo)
-        ih_r = _cert(r, ClassId.GOAL, supply, memo)
+        ih_l = yield (_cert, l, ClassId.GOAL)
+        ih_r = yield (_cert, r, ClassId.GOAL)
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
         z = fresh_assumption("z", lf, supply)
@@ -335,8 +328,8 @@ def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
         body = imp_elim(imp_elim(ih_l, proj(0, assume(u))), lf_bot)
         return imp_intro(u, imp_intro(v, body))
     if c == ClassId.RELEVANT:
-        ih_l = _cert(l, ClassId.RELEVANT, supply, memo)
-        ih_r = _cert(r, ClassId.RELEVANT, supply, memo)
+        ih_l = yield (_cert, l, ClassId.RELEVANT)
+        ih_r = yield (_cert, r, ClassId.RELEVANT)
         v = fresh_assumption("v", Imp(neg(af), BOT), supply)
         nl = fresh_assumption("nl", neg(lf), supply)
         nr = fresh_assumption("nr", neg(rf), supply)
@@ -352,19 +345,19 @@ def _cert_and(a, l, r, af, c, supply, memo) -> Proof:
     raise ValueError(f"unexpected class {c!r}")
 
 
-def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
+def _cert_all(a, x, b, af, c, supply):
     bf = af.body
     if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
         # along forall x B^F -> forall x B (or its converse); relevant
         # bodies are definite as well, so one subcase suffices
-        ih = _cert(b, c, supply, memo)
+        ih = yield (_cert, b, c)
         u = fresh_assumption("u", af if c == ClassId.DEFINITE else a, supply)
         body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
         if _flags(b)[5]:
             # body irrelevant
-            ih = _cert(b, ClassId.IRRELEVANT, supply, memo)
+            ih = yield (_cert, b, ClassId.IRRELEVANT)
             u = fresh_assumption("u", a, supply)
             v = fresh_assumption("v", Imp(af, BOT), supply)
             gen = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x),
@@ -372,7 +365,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
             return imp_intro(u, imp_intro(v, imp_elim(assume(v), gen)))
         # boolean quantifier, goal body: each instance of the body's
         # certificate, B[t] -> (B^F[t] -> bot) -> bot, refutes B^F[t] -> bot
-        at_tt, at_ff = bool_instances(x, _cert(b, ClassId.GOAL, supply, memo),
+        at_tt, at_ff = bool_instances(x, (yield (_cert, b, ClassId.GOAL)),
                                       supply)
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
@@ -385,7 +378,7 @@ def _cert_all(a, x, b, af, c, supply, memo) -> Proof:
         body = imp_elims(at_tt, all_elim(assume(u), TT, supply), tt_bot)
         return imp_intro(u, imp_intro(v, body))
     if c == ClassId.RELEVANT:
-        ih = _cert(b, ClassId.RELEVANT, supply, memo)
+        ih = yield (_cert, b, ClassId.RELEVANT)
         v = fresh_assumption("v", Imp(neg(af), BOT), supply)
         nb = fresh_assumption("nb", neg(bf), supply)
         w = fresh_assumption("w", af, supply)

@@ -5,6 +5,8 @@ of the underlying induction: ex-falso-quodlibet, bottom substitution inside
 proofs, the negative-translation equivalence, and case distinction for the
 class Q, which checks Q by structure and proves the body of a Boolean
 quantifier once for both instances (``bool_instances``, ``bool_generalize``).
+Each induction is a lemma run by ``synthesize``, which keeps the goals that
+wait on a subgoal on an explicit stack, not on Python's.
 """
 
 from __future__ import annotations
@@ -18,7 +20,38 @@ from .kernel import (AssumptionVar, BoolCases, BotPlus, ExIntro, OrIntroL,
                      axiom, build, fresh_assumption, imp_elim, imp_elims,
                      imp_intro, imp_intros, proj)
 from .syntax import (BOOL, FF, NO_VARS, TT, Const, NameSupply, ObjVar, Term,
-                     Var, fold)
+                     Var)
+
+
+def synthesize(goal: tuple, supply: NameSupply | None = None,
+               memo: dict | None = None) -> Proof:
+    """Prove ``goal``, a tuple ``(lemma, *args)``.
+
+    A lemma is a generator ``lemma(supply, *args)``: it yields each subgoal
+    it needs, is sent that subgoal's proof, and returns its own proof.
+    Goals waiting on a subgoal sit on a stack.  With a ``memo``, each goal
+    is proved once; that is sound because every lemma concludes a closed
+    proof, or, in a proof substitution, the one image of its node.
+    """
+    if supply is None:
+        supply = NameSupply()
+    waiting = []
+    while True:
+        proof = None if memo is None else memo.get(goal)
+        if proof is None:
+            waiting.append((goal, goal[0](supply, *goal[1:])))
+        while waiting:
+            top, lemma = waiting[-1]
+            try:
+                goal = lemma.send(proof)
+                break
+            except StopIteration as done:
+                proof = done.value
+            waiting.pop()
+            if memo is not None:
+                memo[top] = proof
+        else:
+            return proof
 
 
 def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
@@ -48,12 +81,10 @@ def prove_efq(a: Formula, th: TheoryId,
     """Closed proof of F -> A in the given theory."""
     if not in_language(a, th):
         raise LanguageError(f"formula is not in the language of {th.value}")
-    if supply is None:
-        supply = NameSupply()
-    return _efq(a, th, supply)
+    return synthesize((_efq, a, th), supply)
 
 
-def _efq(a: Formula, th: TheoryId, supply: NameSupply) -> Proof:
+def _efq(supply: NameSupply, a: Formula, th: TheoryId):
     match a:
         case Bot():
             return axiom(BotPlus(), th)
@@ -65,27 +96,28 @@ def _efq(a: Formula, th: TheoryId, supply: NameSupply) -> Proof:
         case Imp(p, c):
             u = fresh_assumption("u", FALSITY, supply)
             v = fresh_assumption("v", p, supply)
-            return imp_intro(u, imp_intro(v, imp_elim(_efq(c, th, supply),
-                                                      assume(u))))
+            m = yield (_efq, c, th)
+            return imp_intro(u, imp_intro(v, imp_elim(m, assume(u))))
         case And(l, r):
             u = fresh_assumption("u", FALSITY, supply)
-            return imp_intro(u, and_intro(
-                imp_elim(_efq(l, th, supply), assume(u)),
-                imp_elim(_efq(r, th, supply), assume(u))))
+            m_l = yield (_efq, l, th)
+            m_r = yield (_efq, r, th)
+            return imp_intro(u, and_intro(imp_elim(m_l, assume(u)),
+                                          imp_elim(m_r, assume(u))))
         case All(x, b):
             u = fresh_assumption("u", FALSITY, supply)
-            return imp_intro(u, all_intro(x, imp_elim(_efq(b, th, supply),
-                                                      assume(u))))
+            m = yield (_efq, b, th)
+            return imp_intro(u, all_intro(x, imp_elim(m, assume(u))))
         case Or(l, r):
             u = fresh_assumption("u", FALSITY, supply)
-            return imp_intro(u, imp_elim(axiom(OrIntroL(l, r), th, supply),
-                                         imp_elim(_efq(l, th, supply),
-                                                  assume(u))))
+            intro = axiom(OrIntroL(l, r), th, supply)
+            m = yield (_efq, l, th)
+            return imp_intro(u, imp_elim(intro, imp_elim(m, assume(u))))
         case Ex(x, b):
             u = fresh_assumption("u", FALSITY, supply)
             intro = axiom(ExIntro(b, x, Var(x)), th, supply)  # B -> exists x B
-            return imp_intro(u, imp_elim(intro, imp_elim(_efq(b, th, supply),
-                                                         assume(u))))
+            m = yield (_efq, b, th)
+            return imp_intro(u, imp_elim(intro, imp_elim(m, assume(u))))
     raise ValueError(f"unexpected formula {a!r}")
 
 
@@ -124,7 +156,7 @@ def subst_bot_proof(m: Proof, s: Formula,
 
 def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
                  supply: NameSupply | None) -> Proof:
-    """The walk shared by both proof substitutions, over (node, sigma) pairs.
+    """The walk shared by both proof substitutions, over (node, sigma) goals.
 
     sigma is the simultaneous variable substitution in force at the node, as
     a tuple of (y, r) pairs.  A binder over y (an ``all_intro`` eigenvariable
@@ -140,22 +172,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
     if supply is None:
         supply = NameSupply()
     fv_s = NO_VARS if s is None else s.fv
-    # Interned (proof, sigma) nodes, eigenvariables of all_intro nodes by
-    # id, images of assumption variables by (variable, sigma), and the memo
-    # of ``subst`` for each sigma.
-    pairs, binders, images, memos = {}, {}, {}, {}
-    efq = None  # the closed proof of F -> s that replaces each BotPlus
-
-    def node_at(m: Proof, inner):
-        # A node under the outer sigma is the proof itself, any other one a
-        # (proof, sigma) pair, interned so that the walk's identity memo
-        # sees one node per pair.
-        if inner == sigma:
-            return m
-        return pairs.setdefault((m, inner), (m, inner))
-
-    def split(n):
-        return n if isinstance(n, tuple) else (n, sigma)
+    memos = {}  # the memo of ``subst`` for each sigma
 
     def enter(y: ObjVar, sigma, formulas):
         """Eigenvariable and substitution below a binder over ``y``."""
@@ -178,20 +195,11 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         # never has two variables of one name and index free together, so
         # no image has; two whose formulas have one image become one, so an
         # image may have fewer free assumptions than the input, never more.
-        # Interning makes an image with an unchanged formula ``u`` itself.
-        image = images.get((u, sigma))
-        if image is None:
-            image = images[u, sigma] = AssumptionVar(
-                u.name, u.index, rewrite(u.formula, sigma))
-        return image
+        # Interning makes the images of ``u`` under one sigma one variable,
+        # and an image with an unchanged formula ``u`` itself.
+        return AssumptionVar(u.name, u.index, rewrite(u.formula, sigma))
 
-    def subst_axiom(m: Proof, sigma) -> Proof:
-        nonlocal efq
-        ax = m.params[0]
-        if s is not None and isinstance(ax, BotPlus):
-            if efq is None:
-                efq = prove_efq(s, th, supply)
-            return efq
+    def subst_axiom(ax, th_m: TheoryId, sigma) -> Proof:
         # ObjVar fields bind every Formula field; Term fields lie outside.
         values = [getattr(ax, n) for n in ax.__match_args__]
         bodies = [v for v in values if isinstance(v, Formula)]
@@ -202,41 +210,39 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         new = [renamed[v] if isinstance(v, ObjVar)
                else rewrite(v, inner if isinstance(v, Formula) else sigma)
                for v in values]
-        return axiom(type(ax)(*new), th or m.min_theory, supply)
+        return axiom(type(ax)(*new), th or th_m, supply)
 
-    def fixed(m: Proof, inner) -> bool:
-        return not inner and (s is None or m.min_theory is TheoryId.NA)
-
-    def children(n):
-        m, inner = split(n)
-        if fixed(m, inner):
-            return ()
-        if m.rule == "all_intro":
-            child = m.children[0]
-            fvs = [m.conclusion, *(u.formula for u in child.free_assumptions)]
-            binders[id(n)], inner = enter(m.params[0], inner, fvs)
-            return (node_at(child, inner),)
-        return (m.children if inner == sigma
-                else [node_at(c, inner) for c in m.children])
-
-    def visit(n, kids) -> Proof:
-        m, inner = split(n)
-        if fixed(m, inner):
+    def walk(supply: NameSupply, m: Proof, sigma):
+        if not sigma and (s is None or m.min_theory is TheoryId.NA):
             return m
         match m.rule:
             case "assume":
-                return assume(assumption(m.params[0], inner))
+                return assume(assumption(m.params[0], sigma))
             case "axiom":
-                return subst_axiom(m, inner)
-            case "imp_intro":
-                return imp_intro(assumption(m.params[0], inner), kids[0])
-            case "all_elim":
-                return all_elim(kids[0], rewrite(m.params[0], inner), supply)
+                if s is not None and isinstance(m.params[0], BotPlus):
+                    # one closed proof of F -> s replaces each BotPlus
+                    return (yield (_efq, s, th))
+                return subst_axiom(m.params[0], m.min_theory, sigma)
             case "all_intro":
-                return all_intro(binders[id(n)], kids[0])
+                child = m.children[0]
+                fvs = [m.conclusion,
+                       *(u.formula for u in child.free_assumptions)]
+                y, inner = enter(m.params[0], sigma, fvs)
+                return all_intro(y, (yield (walk, child, inner)))
+        kids = []
+        for child in m.children:
+            kids.append((yield (walk, child, sigma)))
+        match m.rule:
+            case "imp_intro":
+                return imp_intro(assumption(m.params[0], sigma), kids[0])
+            case "all_elim":
+                return all_elim(kids[0], rewrite(m.params[0], sigma), supply)
         return build(m.rule, kids, m.params)
 
-    return fold(m, visit, children)
+    try:
+        return synthesize((walk, m, sigma), supply, {})
+    finally:
+        walk = None  # walk refers to itself: break the cycle, so no GC pass
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +253,10 @@ def prove_gg_equiv(a: Formula, supply: NameSupply | None = None) -> Proof:
     """Closed NA proof of (A -> A~~) and (A~~ -> A), as a conjunction."""
     if not in_language(a, TheoryId.NA):
         raise LanguageError("the equivalence lemma is stated for NA formulas")
-    if supply is None:
-        supply = NameSupply()
-    return _gg_equiv(a, supply)
+    return synthesize((_gg_equiv, a), supply)
 
 
-def _gg_equiv(a: Formula, supply: NameSupply) -> Proof:
+def _gg_equiv(supply: NameSupply, a: Formula):
     na = TheoryId.NA
     match a:
         case Atom(t):
@@ -278,8 +282,8 @@ def _gg_equiv(a: Formula, supply: NameSupply) -> Proof:
             bwd = imp_elims(inst, case_tt, case_ff)
             return and_intro(fwd, bwd)
         case Imp(p, c):
-            e_p = _gg_equiv(p, supply)
-            e_c = _gg_equiv(c, supply)
+            e_p = yield (_gg_equiv, p)
+            e_c = yield (_gg_equiv, c)
             pn = _gg_of(e_p)
             u = fresh_assumption("u", a, supply)
             v = fresh_assumption("v", pn, supply)
@@ -293,8 +297,8 @@ def _gg_equiv(a: Formula, supply: NameSupply) -> Proof:
                 imp_elim(assume(u2), imp_elim(proj(0, e_p), assume(v2))))))
             return and_intro(fwd, bwd)
         case And(l, r):
-            e_l = _gg_equiv(l, supply)
-            e_r = _gg_equiv(r, supply)
+            e_l = yield (_gg_equiv, l)
+            e_r = yield (_gg_equiv, r)
             u = fresh_assumption("u", a, supply)
             fwd = imp_intro(u, and_intro(
                 imp_elim(proj(0, e_l), proj(0, assume(u))),
@@ -305,7 +309,7 @@ def _gg_equiv(a: Formula, supply: NameSupply) -> Proof:
                 imp_elim(proj(1, e_r), proj(1, assume(u2)))))
             return and_intro(fwd, bwd)
         case All(x, b):
-            e_b = _gg_equiv(b, supply)
+            e_b = yield (_gg_equiv, b)
             u = fresh_assumption("u", a, supply)
             fwd = imp_intro(u, all_intro(x, imp_elim(
                 proj(0, e_b), all_elim(assume(u), Var(x), supply))))
@@ -332,12 +336,10 @@ def prove_case_distinction(a: Formula, s: Formula, th: TheoryId,
         raise LanguageError("case distinction is synthesized for NA/MA/HA")
     if not in_language(s, th):
         raise LanguageError(f"target formula is not in the language of {th.value}")
-    if supply is None:
-        supply = NameSupply()
-    return _cd(a, s, th, supply)
+    return synthesize((_cd, a, s, th), supply, {})
 
 
-def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
+def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
     match a:
         case Atom(t):
             b = _fresh_bool_var(supply, t.fv | s.fv)
@@ -357,8 +359,8 @@ def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
                 imp_elim(assume(w2), imp_intro(wf, assume(wf))), w1, w2)
             return imp_elims(inst, case_tt, case_ff)
         case Imp(b, c):
-            ih_b = _cd(b, imp(neg(c), s), th, supply)
-            ih_c = _cd(c, s, th, supply)
+            ih_b = yield (_cd, b, imp(neg(c), s), th)
+            ih_c = yield (_cd, c, s, th)
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)
             # C -> S: from C the implication B -> C is immediate
@@ -378,15 +380,16 @@ def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
             nb = fresh_assumption("nb", neg(b), supply)
             nc2 = fresh_assumption("nc", neg(c), supply)
             b3 = fresh_assumption("b", b, supply)
+            efq = yield (_efq, c, th)
             nb_nc_s = imp_intro(nb, imp_intro(nc2, imp_elim(
                 assume(u1),
-                imp_intro(b3, imp_elim(prove_efq(c, th, supply),
-                                       imp_elim(assume(nb), assume(b3)))))))
+                imp_intro(b3, imp_elim(efq, imp_elim(assume(nb),
+                                                     assume(b3)))))))
             nc_to_s = imp_elims(ih_b, b_nc_s, nb_nc_s)
             return imp_intros(imp_elims(ih_c, c_to_s, nc_to_s), u1, u2)
         case And(b, c):
-            ih_b = _cd(b, imp(c, s), th, supply)
-            ih_c = _cd(c, s, th, supply)
+            ih_b = yield (_cd, b, imp(c, s), th)
+            ih_c = yield (_cd, c, s, th)
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)
             # not C -> S
@@ -416,7 +419,8 @@ def _cd(a: Formula, s: Formula, th: TheoryId, supply: NameSupply) -> Proof:
             if x in s.fv:
                 y = supply.fresh_avoiding(x, b.fv | s.fv)
                 body = subst(b, {x: Var(y)}, supply=supply)
-            at_tt, at_ff = bool_instances(y, _cd(body, s, th, supply), supply)
+            at_tt, at_ff = bool_instances(y, (yield (_cd, body, s, th)),
+                                          supply)
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)
             w = fresh_assumption("w", a, supply)

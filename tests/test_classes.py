@@ -90,9 +90,9 @@ class TestQ:
 
     # forall x_i (x_i -> A): case distinction splits each Boolean
     # quantifier once, so the Q and QF certificates no longer double per
-    # level.  They are not linear yet: the implication case builds
-    # prove_efq of its conclusion afresh, about 8 nodes per level below it,
-    # which puts 9,655 nodes (241 per level) at depth 40.
+    # level.  The ex-falso proof that the implication case needs of its
+    # conclusion is a goal of the same synthesis, built once and shared
+    # with the level above: 3,571 nodes (89 per level) at depth 40.
     @pytest.mark.parametrize("base", [Atom(TT), BOT])
     def test_nested_bool_case_distinction_does_not_double(self, base):
         a = base
@@ -106,10 +106,19 @@ class TestQ:
             assert time.process_time() - start < 1.0
             visited = []
             fold(cert, lambda m, kids: visited.append(m))
-            assert len(visited) <= 300 * 40
+            assert len(visited) <= 200 * 40
             s = subst_bot_falsity(a) if c == ClassId.QF else a
             assert alpha_eq_formula(
                 cert.conclusion, imp(Imp(s, BOT), Imp(neg(s), BOT), BOT))
+
+    def test_bool_chain_q_certificate_is_linear(self):
+        a = Atom(TT)
+        for i in range(80):
+            x = ObjVar("x", i, BOOL)
+            a = All(x, Imp(Atom(Var(x)), a))
+        visited = []
+        fold(certify(a, ClassId.Q), lambda m, kids: visited.append(m))
+        assert len(visited) <= 200 * 80
 
     @pytest.mark.parametrize("irrelevant_bodies", [True, False])
     def test_certify_computes_falsity_instance_once_per_node(
@@ -346,6 +355,60 @@ class TestCertificates:
     def test_classify_with_certificates(self):
         r = classify(Atom(TT), with_certificates=True)
         assert set(r.certificates) == {c for c in ClassId if r.flag(c)}
+
+    def test_classes_share_the_premise_certificate(self):
+        # The D and R certificates of an implication both contain the
+        # GOAL certificate of its premise; classify builds it once.
+        goal_bot = Imp(BOT, Imp(Imp(FALSITY, BOT), BOT))
+        certs = classify(Imp(BOT, TRUTH), with_certificates=True).certificates
+
+        def goal_certificates(m):
+            found = set()
+            fold(m, lambda n, kids: found.add(n) if (
+                n.conclusion == goal_bot and not n.free_assumptions) else None)
+            return found
+
+        assert goal_certificates(certs[ClassId.DEFINITE]) & \
+            goal_certificates(certs[ClassId.RELEVANT])
+
+
+# The class property that each certificate concludes, from A and A^F.
+_TARGETS = {
+    ClassId.Q: lambda a, af: imp(Imp(a, BOT), Imp(neg(a), BOT), BOT),
+    ClassId.QF: lambda a, af: imp(Imp(af, BOT), Imp(neg(af), BOT), BOT),
+    ClassId.DEFINITE: lambda a, af: Imp(af, a),
+    ClassId.GOAL: lambda a, af: Imp(a, Imp(Imp(af, BOT), BOT)),
+    ClassId.RELEVANT: lambda a, af: Imp(Imp(neg(af), BOT), a),
+    ClassId.IRRELEVANT: lambda a, af: Imp(a, af),
+}
+
+
+def _tt_chain(n):
+    a = TRUTH
+    for _ in range(n):
+        a = Imp(TRUTH, a)
+    return a
+
+
+def test_deep_chain_certifies_at_the_default_recursion_limit():
+    # Synthesis keeps waiting goals on an explicit stack.  ``==`` is
+    # identity on interned nodes, so the comparison does not recurse.
+    a = _tt_chain(1500)
+    assert sys.getrecursionlimit() < 1500
+    af = subst_bot_falsity(a)
+    want = {c: target(a, af) for c, target in _TARGETS.items()}
+    for c in ClassId:
+        assert certify(a, c).conclusion == want[c]
+    certs = classify(a, with_certificates=True).certificates
+    assert {c: m.conclusion for c, m in certs.items()} == want
+
+
+def test_six_classes_of_a_400_deep_chain_certify_in_linear_time():
+    a = _tt_chain(400)
+    start = time.process_time()
+    for c in ClassId:
+        assert certify(a, c) is not None
+    assert time.process_time() - start < 2.0
 
 
 class TestTermination:

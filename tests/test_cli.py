@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from minarith import (All, Atom, BOOL, BOT, ClassId, Imp, NAT, NameSupply,
-                      ObjVar, TheoryId, TRUTH, Var, ZERO, all_intro,
-                      alpha_eq_formula, and_intro, assume, axiom, certify,
-                      fresh_assumption, gg_translate, imp_elim, all_elim,
-                      imp_intros, parse_formula, parse_proof, print_formula,
-                      print_proof, Truth)
+from minarith import (All, Atom, BOOL, BOT, ClassId, FALSITY, Imp, NAT,
+                      NameSupply, ObjVar, TheoryId, TRUTH, Var, ZERO,
+                      all_intro, alpha_eq_formula, and_intro, assume, axiom,
+                      certify, fresh_assumption, gg_translate, imp_elim,
+                      all_elim, imp_intros, parse_formula, parse_proof,
+                      print_formula, print_proof, recheck, Truth)
 from minarith.cli import main
 
 from conftest import load_manifest
@@ -354,13 +354,26 @@ def test_classify_handles_deep_input(depth, tmp_path, capsys):
     assert out.split() == [f"{c}=yes" for c in ("Q", "QF", "D", "G", "R", "I")]
 
 
-@pytest.mark.parametrize("argv", [["efq", "--theory", "HA"],
-                                  ["efq", "--theory", "NA"], ["gg"]])
-def test_deep_input_exits_with_depth_error(argv, tmp_path, capsys):
+def test_deep_input_exits_with_depth_error(tmp_path, capsys):
+    # gg prints the translated formula, and the formula printer recurses.
     src = tmp_path / "deep.frm"
     src.write_text(_tt_chain(1500), encoding="utf-8")
-    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    code, out, err = run(capsys, "gg", str(src))
     assert code == 1
     assert out.startswith("depth-error: ")
     assert len(out.splitlines()) == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("theory", ["HA", "NA"])
+def test_deep_efq_prints_a_proof_that_rechecks(theory, tmp_path, capsys):
+    # The synthesizers keep their goals on an explicit stack, and proofs
+    # are printed, read and rechecked by walks that do not recurse.
+    text = _tt_chain(1500)
+    src = tmp_path / "deep.frm"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "efq", str(src), "--theory", theory)
+    assert (code, err) == (0, "")
+    p = recheck(parse_proof(out.strip(), TheoryId(theory)))
+    assert p.conclusion == Imp(FALSITY, parse_formula(text))
+    assert not p.free_assumptions

@@ -19,7 +19,7 @@ def main() -> None:
     u = fresh_assumption("u", TRUTH, supply)
     v = fresh_assumption("v", All(x, Imp(TRUTH, BOT)), supply)
     premise = imp_intros(
-        imp_elim(all_elim(assume(v), ZERO, supply),
+        imp_elim(all_elim(assume(v), ZERO),
                  axiom(Truth(), TheoryId.MA)),
         u, v)
     print("premise conclusion:")

@@ -78,9 +78,9 @@ def refined_a_translate(inp: TranslationInput,
     v = fresh_assumption("v", All(x, Imp(gf, BOT)), supply)
     w = fresh_assumption("w", g, supply)
     refute_g = imp_intro(w, imp_elims(
-        all_elim(inp.cert_G, Var(x), supply),
+        all_elim(inp.cert_G, Var(x)),
         assume(w),
-        all_elim(assume(v), Var(x), supply)))
+        all_elim(assume(v), Var(x))))
     body = imp_elims(
         inp.premise_proof,
         imp_elim(inp.cert_D, assume(u)),
@@ -92,7 +92,7 @@ def refined_a_translate(inp: TranslationInput,
     step2 = subst_bot_proof(step1, goal, supply)
 
     # Step 3: discharge forall x (G^F -> exists x G^F) via the intro axiom.
-    intro = axiom(ExIntro(gf, x, Var(x)), TheoryId.HA, supply)
+    intro = axiom(ExIntro(gf, x, Var(x)), TheoryId.HA)
     p_ex = all_intro(x, intro)
     u2 = fresh_assumption("u", df, supply)
     return imp_intro(u2, imp_elims(step2, assume(u2), p_ex))

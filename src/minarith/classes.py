@@ -352,7 +352,7 @@ def _cert_all(a, x, b, af, c, supply):
         # bodies are definite as well, so one subcase suffices
         ih = yield (_cert, b, c)
         u = fresh_assumption("u", af if c == ClassId.DEFINITE else a, supply)
-        body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x), supply)))
+        body = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x))))
         return imp_intro(u, body)
     if c == ClassId.GOAL:
         if _flags(b)[5]:
@@ -360,22 +360,20 @@ def _cert_all(a, x, b, af, c, supply):
             ih = yield (_cert, b, ClassId.IRRELEVANT)
             u = fresh_assumption("u", a, supply)
             v = fresh_assumption("v", Imp(af, BOT), supply)
-            gen = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x),
-                                                     supply)))
+            gen = all_intro(x, imp_elim(ih, all_elim(assume(u), Var(x))))
             return imp_intro(u, imp_intro(v, imp_elim(assume(v), gen)))
         # boolean quantifier, goal body: each instance of the body's
         # certificate, B[t] -> (B^F[t] -> bot) -> bot, refutes B^F[t] -> bot
-        at_tt, at_ff = bool_instances(x, (yield (_cert, b, ClassId.GOAL)),
-                                      supply)
+        at_tt, at_ff = bool_instances(x, (yield (_cert, b, ClassId.GOAL)))
         u = fresh_assumption("u", a, supply)
         v = fresh_assumption("v", Imp(af, BOT), supply)
         p_tt = fresh_assumption("p", at_tt.conclusion.concl.prem.prem, supply)
         p_ff = fresh_assumption("p", at_ff.conclusion.concl.prem.prem, supply)
-        gen_f = bool_generalize(x, bf, assume(p_tt), assume(p_ff), _MA, supply)
+        gen_f = bool_generalize(x, bf, assume(p_tt), assume(p_ff), _MA)
         ff_bot = imp_intro(p_ff, imp_elim(assume(v), gen_f))
         tt_bot = imp_intro(p_tt, imp_elims(
-            at_ff, all_elim(assume(u), FF, supply), ff_bot))
-        body = imp_elims(at_tt, all_elim(assume(u), TT, supply), tt_bot)
+            at_ff, all_elim(assume(u), FF), ff_bot))
+        body = imp_elims(at_tt, all_elim(assume(u), TT), tt_bot)
         return imp_intro(u, imp_intro(v, body))
     if c == ClassId.RELEVANT:
         ih = yield (_cert, b, ClassId.RELEVANT)
@@ -383,7 +381,7 @@ def _cert_all(a, x, b, af, c, supply):
         nb = fresh_assumption("nb", neg(bf), supply)
         w = fresh_assumption("w", af, supply)
         refute = imp_intro(w, imp_elim(assume(nb),
-                                       all_elim(assume(w), Var(x), supply)))
+                                       all_elim(assume(w), Var(x))))
         inner = imp_elim(ih, imp_intro(nb, imp_elim(assume(v), refute)))
         return imp_intro(v, all_intro(x, inner))
     raise ValueError(f"unexpected class {c!r}")

@@ -58,17 +58,16 @@ def _fresh_bool_var(supply: NameSupply, avoid) -> ObjVar:
     return supply.fresh_avoiding(ObjVar("b", 0, BOOL), avoid)
 
 
-def bool_instances(x: ObjVar, m: Proof,
-                   supply: NameSupply) -> tuple[Proof, Proof]:
+def bool_instances(x: ObjVar, m: Proof) -> tuple[Proof, Proof]:
     """The instances at tt and at ff of ``all_intro(x, m)``."""
     gen = all_intro(x, m)
-    return all_elim(gen, TT, supply), all_elim(gen, FF, supply)
+    return all_elim(gen, TT), all_elim(gen, FF)
 
 
 def bool_generalize(x: ObjVar, b: Formula, m_tt: Proof, m_ff: Proof,
-                    th: TheoryId, supply: NameSupply) -> Proof:
+                    th: TheoryId) -> Proof:
     """forall x B from proofs of B[tt] and B[ff], by ``BoolCases(x, B)``."""
-    cases = all_elim(axiom(BoolCases(x, b), th, supply), Var(x), supply)
+    cases = all_elim(axiom(BoolCases(x, b), th), Var(x))
     return all_intro(x, imp_elims(cases, m_tt, m_ff))
 
 
@@ -90,8 +89,8 @@ def _efq(supply: NameSupply, a: Formula, th: TheoryId):
             return axiom(BotPlus(), th)
         case Atom(t):
             b = _fresh_bool_var(supply, t.fv)
-            cases = axiom(BoolCases(b, Atom(Var(b))), th, supply)
-            inst = all_elim(cases, t, supply)  # T -> F -> atom t
+            cases = axiom(BoolCases(b, Atom(Var(b))), th)
+            inst = all_elim(cases, t)  # T -> F -> atom t
             return imp_elim(inst, axiom(Truth(), th))
         case Imp(p, c):
             u = fresh_assumption("u", FALSITY, supply)
@@ -110,12 +109,12 @@ def _efq(supply: NameSupply, a: Formula, th: TheoryId):
             return imp_intro(u, all_intro(x, imp_elim(m, assume(u))))
         case Or(l, r):
             u = fresh_assumption("u", FALSITY, supply)
-            intro = axiom(OrIntroL(l, r), th, supply)
+            intro = axiom(OrIntroL(l, r), th)
             m = yield (_efq, l, th)
             return imp_intro(u, imp_elim(intro, imp_elim(m, assume(u))))
         case Ex(x, b):
             u = fresh_assumption("u", FALSITY, supply)
-            intro = axiom(ExIntro(b, x, Var(x)), th, supply)  # B -> exists x B
+            intro = axiom(ExIntro(b, x, Var(x)), th)  # B -> exists x B
             m = yield (_efq, b, th)
             return imp_intro(u, imp_elim(intro, imp_elim(m, assume(u))))
     raise ValueError(f"unexpected formula {a!r}")
@@ -210,7 +209,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         new = [renamed[v] if isinstance(v, ObjVar)
                else rewrite(v, inner if isinstance(v, Formula) else sigma)
                for v in values]
-        return axiom(type(ax)(*new), th or th_m, supply)
+        return axiom(type(ax)(*new), th or th_m)
 
     def walk(supply: NameSupply, m: Proof, sigma):
         if not sigma and (s is None or m.min_theory is TheoryId.NA):
@@ -236,7 +235,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
             case "imp_intro":
                 return imp_intro(assumption(m.params[0], sigma), kids[0])
             case "all_elim":
-                return all_elim(kids[0], rewrite(m.params[0], sigma), supply)
+                return all_elim(kids[0], rewrite(m.params[0], sigma))
         return build(m.rule, kids, m.params)
 
     try:
@@ -272,7 +271,7 @@ def _gg_equiv(supply: NameSupply, a: Formula):
             b = _fresh_bool_var(supply, t.fv)
             atom_b = Atom(Var(b))
             body = Imp(neg(neg(atom_b)), atom_b)
-            inst = all_elim(axiom(BoolCases(b, body), na, supply), t, supply)
+            inst = all_elim(axiom(BoolCases(b, body), na), t)
             w = fresh_assumption("w", neg(neg(Atom(Const("tt")))), supply)
             case_tt = imp_intro(w, axiom(Truth(), na))
             v2 = fresh_assumption("v", neg(neg(FALSITY)), supply)
@@ -312,10 +311,10 @@ def _gg_equiv(supply: NameSupply, a: Formula):
             e_b = yield (_gg_equiv, b)
             u = fresh_assumption("u", a, supply)
             fwd = imp_intro(u, all_intro(x, imp_elim(
-                proj(0, e_b), all_elim(assume(u), Var(x), supply))))
+                proj(0, e_b), all_elim(assume(u), Var(x)))))
             u2 = fresh_assumption("u", All(x, _gg_of(e_b)), supply)
             bwd = imp_intro(u2, all_intro(x, imp_elim(
-                proj(1, e_b), all_elim(assume(u2), Var(x), supply))))
+                proj(1, e_b), all_elim(assume(u2), Var(x)))))
             return and_intro(fwd, bwd)
     raise ValueError(f"unexpected formula {a!r}")
 
@@ -345,7 +344,7 @@ def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
             b = _fresh_bool_var(supply, t.fv | s.fv)
             atom_b = Atom(Var(b))
             body = imp(Imp(atom_b, s), Imp(neg(atom_b), s), s)
-            inst = all_elim(axiom(BoolCases(b, body), th, supply), t, supply)
+            inst = all_elim(axiom(BoolCases(b, body), th), t)
             # (T -> S) -> (not T -> S) -> S
             u1 = fresh_assumption("u", Imp(Atom(Const("tt")), s), supply)
             u2 = fresh_assumption("v", Imp(neg(Atom(Const("tt"))), s), supply)
@@ -419,8 +418,7 @@ def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
             if x in s.fv:
                 y = supply.fresh_avoiding(x, b.fv | s.fv)
                 body = subst(b, {x: Var(y)}, supply=supply)
-            at_tt, at_ff = bool_instances(y, (yield (_cd, body, s, th)),
-                                          supply)
+            at_tt, at_ff = bool_instances(y, (yield (_cd, body, s, th)))
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)
             w = fresh_assumption("w", a, supply)
@@ -428,13 +426,13 @@ def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
             def refute(i, t):  # not B[t] -> S: forall x B would give B[t]
                 n = fresh_assumption("n", i.conclusion.concl.prem.prem, supply)
                 return imp_intro(n, imp_elim(assume(u2), imp_intro(
-                    w, imp_elim(assume(n), all_elim(assume(w), t, supply)))))
+                    w, imp_elim(assume(n), all_elim(assume(w), t)))))
 
             # B[tt] -> S: split B[ff] too, and BoolCases gives forall x B
             p_tt = fresh_assumption("p", at_tt.conclusion.prem.prem, supply)
             p_ff = fresh_assumption("p", at_ff.conclusion.prem.prem, supply)
             both = imp_elim(assume(u1), bool_generalize(
-                x, b, assume(p_tt), assume(p_ff), th, supply))
+                x, b, assume(p_tt), assume(p_ff), th))
             tt_s = imp_intro(p_tt, imp_elims(at_ff, imp_intro(p_ff, both),
                                              refute(at_ff, FF)))
             return imp_intros(imp_elims(at_tt, tt_s, refute(at_tt, TT)),

@@ -11,6 +11,9 @@ or strong disjunction or existence (``has_strong``).  ``subst`` is the one
 substitution over terms and formulas.  As an interned node stands for its
 value, a formula also keeps, once asked, its A^F, its instances and its
 class flags; A^F and instances by weak reference, to keep no node alive.
+Each is a pure function of its node: where an instance renames a binder,
+it draws from a supply of its own, as ``subst`` does when given none, so
+a kept fact is the node that computing it again gives.
 """
 
 from __future__ import annotations
@@ -280,15 +283,15 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
         go = None  # go refers to itself: break the cycle, so no GC pass
 
 
-def instance(a: All, t: Term, supply: NameSupply | None = None) -> Formula:
+def instance(a: All, t: Term) -> Formula:
     """``B[x := t]`` for ``a`` = ``forall x B``, kept on ``a`` (weakly, under
-    a weak reference to ``t``) if it draws no index, as at a closed ``t``:
-    then it is the same node for any supply."""
+    a weak reference to ``t``).  A binder that would capture a variable of
+    ``t`` is renamed from a supply of the call's own, as ``subst`` does, so
+    the instance depends on ``a`` and ``t`` alone."""
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
-    return kept_or_make(a, "_inst", lambda s: subst(b, {x: t}, supply=s),
-                        supply, ref(t))
+    return kept_or_make(a, "_inst", lambda: subst(b, {x: t}), ref(t))
 
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,

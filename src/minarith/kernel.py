@@ -5,12 +5,13 @@ module; every value therefore satisfies its rule's side conditions and caches
 its conclusion, free assumptions, and minimal theory.  Downstream code never
 re-verifies proofs.
 
-The schema of an axiom value (``axiom_schema``) and the instance of a
-universal formula at a term (``formula.instance``, for ``all_elim``) are
-kept on the node, where computing them draws no index from the supply, so
-a kept result is the node a fresh computation gives.  ``recheck`` still
-calls the checked constructor of every rule and so tests every side
-condition again; it only stops recomputing such pure results.
+The kernel draws no names from its callers.  The schema of an axiom value
+(``axiom_schema``) and the instance of a universal formula at a term
+(``formula.instance``, for ``all_elim``) depend on their arguments alone:
+where one renames a binder, it draws from a supply of its own.  So they are
+kept on the node, and a kept result is the node a fresh computation gives.
+``recheck`` still calls the checked constructor of every rule and so tests
+every side condition again; it only stops recomputing such pure results.
 """
 
 from __future__ import annotations
@@ -130,28 +131,27 @@ _AXIOM_AVAILABILITY = {
 }
 
 
-def axiom_schema(ax: AxiomId, supply: NameSupply | None = None) -> Formula:
+def axiom_schema(ax: AxiomId) -> Formula:
     """The concluding formula of an axiom scheme instance, kept on ``ax``
-    (weakly) if it draws no index, as every one but some ``IndList`` and
-    ``ExIntro`` schemas: then it is the same node for any supply."""
-    return kept_or_make(ax, "_schema", lambda s: _schema(ax, s), supply)
+    (weakly)."""
+    return kept_or_make(ax, "_schema", lambda: _schema(ax))
 
 
-def _schema(ax: AxiomId, supply: NameSupply) -> Formula:
+def _schema(ax: AxiomId) -> Formula:
     match ax:
         case Truth():
             return TRUTH
         case BoolCases(b, a):
             if b.ty != BOOL:
                 raise TypeError("case-distinction axiom needs a boolean variable")
-            a_tt = subst(a, {b: TT}, supply=supply)
-            a_ff = subst(a, {b: FF}, supply=supply)
+            a_tt = subst(a, {b: TT})
+            a_ff = subst(a, {b: FF})
             return All(b, imp(a_tt, a_ff, a))
         case IndNat(n, a):
             if n.ty != NAT:
                 raise TypeError("nat induction needs a variable of type nat")
-            a_zero = subst(a, {n: ZERO}, supply=supply)
-            a_succ = subst(a, {n: App(SUCC, Var(n))}, supply=supply)
+            a_zero = subst(a, {n: ZERO})
+            a_succ = subst(a, {n: App(SUCC, Var(n))})
             return All(n, imp(a_zero, All(n, Imp(a, a_succ)), a))
         case IndList(l, x, a):
             if not isinstance(l.ty, ListType):
@@ -162,10 +162,8 @@ def _schema(ax: AxiomId, supply: NameSupply) -> Formula:
                 raise EigenvariableError(
                     "list induction element variable is free in the body")
             elem = l.ty.elem
-            a_nil = subst(a, {l: Const("nil", (elem,))}, supply=supply)
-            a_cons = subst(
-                a, {l: app(Const("cons", (elem,)), Var(x), Var(l))},
-                supply=supply)
+            a_nil = subst(a, {l: Const("nil", (elem,))})
+            a_cons = subst(a, {l: app(Const("cons", (elem,)), Var(x), Var(l))})
             return All(l, imp(a_nil, All(x, All(l, Imp(a, a_cons))), a))
         case BotPlus():
             return Imp(FALSITY, BOT)
@@ -178,7 +176,7 @@ def _schema(ax: AxiomId, supply: NameSupply) -> Formula:
         case ExIntro(a, x, t):
             if t.ty != x.ty:
                 raise TypeError("existence witness type must match the variable")
-            return Imp(subst(a, {x: t}, supply=supply), Ex(x, a))
+            return Imp(subst(a, {x: t}), Ex(x, a))
         case ExElim(a, x, c):
             if x in c.fv:
                 raise EigenvariableError(
@@ -257,13 +255,12 @@ def assume(u: AssumptionVar) -> Proof:
                  min_language(u.formula))
 
 
-def axiom(ax: AxiomId, th: TheoryId,
-          supply: NameSupply | None = None) -> Proof:
+def axiom(ax: AxiomId, th: TheoryId) -> Proof:
     available, home = _AXIOM_AVAILABILITY[type(ax)]
     if th not in available:
         raise TheoryError(
             f"axiom {type(ax).__name__} is not available in {th.value}")
-    concl = axiom_schema(ax, supply)
+    concl = axiom_schema(ax)
     min_theory = theory_join(home, min_language(concl))
     if not theory_leq(min_theory, th):
         raise TheoryError(
@@ -329,7 +326,9 @@ def imp_intros(m: Proof, *us: AssumptionVar) -> Proof:
     return m
 
 
-def all_elim(m: Proof, t: Term, supply: NameSupply | None = None) -> Proof:
+# The third parameter is ignored.  It stays for callers written when an
+# instance could draw names from the caller's supply, which still pass one.
+def all_elim(m: Proof, t: Term, _supply=None) -> Proof:
     if not isinstance(m.conclusion, All):
         raise ShapeError(
             "instantiation needs a universal formula, got "
@@ -337,7 +336,7 @@ def all_elim(m: Proof, t: Term, supply: NameSupply | None = None) -> Proof:
     x = m.conclusion.bound
     if t.ty != x.ty:
         raise TypeError(f"instantiating term type {t.ty} does not match {x.ty}")
-    concl = instance(m.conclusion, t, supply)
+    concl = instance(m.conclusion, t)
     return Proof(_TOKEN, "all_elim", (m,), (t,), concl, m.free_assumptions,
                  m.min_theory)
 
@@ -356,26 +355,25 @@ def all_intro(x: ObjVar, m: Proof) -> Proof:
 # Generic builder and re-checking
 
 
-# Each rule's checked constructor, called with (premises, params, supply).
+# Each rule's checked constructor, called with (premises, params).
 _RULES = {
-    "assume": lambda ps, params, supply: assume(*params),
-    "axiom": lambda ps, params, supply: axiom(*params, supply=supply),
-    "and_intro": lambda ps, params, supply: and_intro(*ps),
-    "proj": lambda ps, params, supply: proj(params[0], *ps),
-    "imp_elim": lambda ps, params, supply: imp_elim(*ps),
-    "imp_intro": lambda ps, params, supply: imp_intro(params[0], *ps),
-    "all_elim": lambda ps, params, supply: all_elim(*ps, params[0], supply),
-    "all_intro": lambda ps, params, supply: all_intro(params[0], *ps),
+    "assume": lambda ps, params: assume(*params),
+    "axiom": lambda ps, params: axiom(*params),
+    "and_intro": lambda ps, params: and_intro(*ps),
+    "proj": lambda ps, params: proj(params[0], *ps),
+    "imp_elim": lambda ps, params: imp_elim(*ps),
+    "imp_intro": lambda ps, params: imp_intro(params[0], *ps),
+    "all_elim": lambda ps, params: all_elim(*ps, params[0]),
+    "all_intro": lambda ps, params: all_intro(params[0], *ps),
 }
 
 
-def build(rule: str, premises, params=(),
-          supply: NameSupply | None = None) -> Proof:
+def build(rule: str, premises, params=()) -> Proof:
     """Dispatch to the checked constructor named by ``rule``."""
     make = _RULES.get(rule)
     if make is None:
         raise ShapeError(f"unknown rule {rule!r}")
-    return make(premises, params, supply)
+    return make(premises, params)
 
 
 def recheck(m: Proof) -> Proof:
@@ -390,4 +388,4 @@ def recheck(m: Proof) -> Proof:
 def _rebuild(m: Proof, premises) -> Proof:
     if m.rule == "axiom":
         return axiom(m.params[0], m.min_theory)
-    return _RULES[m.rule](premises, m.params, None)
+    return _RULES[m.rule](premises, m.params)

@@ -128,19 +128,19 @@ def _prove(ctx, goal: Formula, th: TheoryId, depth: int, pool, supply,
                 return imp_elim(axiom(BotPlus(), th), sub)
         case Or(l, r):
             if th == TheoryId.PA and alpha_eq_formula(goal, Or(l, neg(l))):
-                return axiom(Lem(l), th, supply)
+                return axiom(Lem(l), th)
             left = _prove(ctx, l, th, depth - 1, pool, supply, budget)
             if left is not None:
-                return imp_elim(axiom(OrIntroL(l, r), th, supply), left)
+                return imp_elim(axiom(OrIntroL(l, r), th), left)
             right = _prove(ctx, r, th, depth - 1, pool, supply, budget)
             if right is not None:
-                return imp_elim(axiom(OrIntroR(l, r), th, supply), right)
+                return imp_elim(axiom(OrIntroR(l, r), th), right)
         case Ex(x, b):
             for t in _pool_of_type(pool, x.ty):
                 inst = subst_formula_var(b, x, t, supply)
                 sub = _prove(ctx, inst, th, depth - 1, pool, supply, budget)
                 if sub is not None:
-                    return imp_elim(axiom(ExIntro(b, x, t), th, supply), sub)
+                    return imp_elim(axiom(ExIntro(b, x, t), th), sub)
         case _:
             pass
 
@@ -173,7 +173,7 @@ def _focus(p: Proof, ctx, goal: Formula, th: TheoryId, depth: int, pool,
                               pool, supply, budget)
         case All(x, _):
             for t in _pool_of_type(pool, x.ty):
-                found = _focus(all_elim(p, t, supply), ctx, goal, th,
+                found = _focus(all_elim(p, t), ctx, goal, th,
                                depth - 1, pool, supply, budget)
                 if found is not None:
                     return found
@@ -297,7 +297,7 @@ def _gen_proof(rng, size: int, supply: NameSupply) -> Proof:
             x = ObjVar("y", supply.draw(), BOOL)
             gen = all_intro(x, child)
             if rng.random() < 0.5:
-                return all_elim(gen, rng.choice((TT, FF)), supply)
+                return all_elim(gen, rng.choice((TT, FF)))
             return gen
         case 5:
             child = _gen_proof(rng, size - 1, supply)

@@ -35,9 +35,9 @@ from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
 from .kernel import (AssumptionVar, BoolCases, BotPlus, ExElim, ExIntro,
                      IndList, IndNat, Lem, OrElim, OrIntroL, OrIntroR, Proof,
                      Truth, assume, axiom, build)
-from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NameSupply,
-                     NatType, ObjType, ObjVar, Prod, Term, TypeVar, Var,
-                     _CONST_SPECS, fold)
+from .syntax import (App, Arrow, BoolType, Const, Lam, ListType, NatType,
+                     ObjType, ObjVar, Prod, Term, TypeVar, Var, _CONST_SPECS,
+                     fold)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,7 @@ class _Open:
         self.args: list = []
 
 
-def _parse(text: str, category: str, th: TheoryId | None = None,
-           supply: NameSupply | None = None):
+def _parse(text: str, category: str, th: TheoryId | None = None):
     """Build the value of ``category`` that ``text`` writes, in one pass.
 
     Proofs go through the kernel constructors; kernel errors propagate.  A
@@ -336,8 +335,6 @@ def _parse(text: str, category: str, th: TheoryId | None = None,
     """
     tokens = _tokenize(text)
     depth = _depths(tokens)
-    if supply is None:
-        supply = NameSupply()
     bound = len(tokens) ** 2 if "#" in text and any(
         t[-1] == "=" and _label(t) for t in tokens) else None
     sizes: dict = {}  # written-out size of each formula and term node met
@@ -364,7 +361,7 @@ def _parse(text: str, category: str, th: TheoryId | None = None,
         if type(x) is AssumptionVar:
             x = assume(x)
         elif not isinstance(x, Proof):
-            x = axiom(x, th, supply)
+            x = axiom(x, th)
         # The conclusion of modus ponens or a projection is part of its
         # premise's, which has been measured.
         if bound is not None and x.rule not in _PART_OF_PREMISE and \
@@ -390,7 +387,7 @@ def _parse(text: str, category: str, th: TheoryId | None = None,
                 rule, fixed, before, n, _ = _PROOF_FORMS[cls]
                 b = len(before)
                 x = build(rule, args[b:b + n],
-                          (*fixed, *args[:b], *args[b + n:]), supply)
+                          (*fixed, *args[:b], *args[b + n:]))
             else:
                 try:
                     if cls is Const:
@@ -484,10 +481,9 @@ def parse_formula(text: str) -> Formula:
     return _parse(text, "formula")
 
 
-def parse_proof(text: str, th: TheoryId,
-                supply: NameSupply | None = None) -> Proof:
+def parse_proof(text: str, th: TheoryId) -> Proof:
     """Read and build a proof; see ``_parse``."""
-    return _parse(text, "proof", th, supply)
+    return _parse(text, "proof", th)
 
 
 # ---------------------------------------------------------------------------

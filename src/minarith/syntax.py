@@ -175,18 +175,13 @@ def keep(n: Node, slot: str, fact, key=None) -> None:
     facts[key] = r
 
 
-def kept_or_make(n: Node, slot: str, make, supply: NameSupply | None,
-                 key=None):
-    """``make(supply)``, a pure result about ``n``, kept on ``n`` as ``keep``
-    does if making it drew no index from ``supply``: then it is the same
-    node for any supply, so the kept result is what making it again gives."""
+def kept_or_make(n: Node, slot: str, make, key=None):
+    """The fact ``make()``, a pure result about ``n``, kept on ``n`` as
+    ``keep`` does, so that asking again gives the node made first."""
     out = kept(n, slot, key)
     if out is None:
-        supply = supply or NameSupply()
-        start = supply.next_index
-        out = make(supply)
-        if supply.next_index == start:
-            keep(n, slot, out, key)
+        out = make()
+        keep(n, slot, out, key)
     return out
 
 

@@ -333,8 +333,8 @@ def test_criterion_10_cli_round_trip(capsys, tmp_path):
             continue
         if entry["expect"] == "ok":
             th = TheoryId(entry["theory"])
-            p = parse_proof(entry["text"], th, NameSupply(500_000))
-            q = parse_proof(print_proof(p), th, NameSupply(700_000))
+            p = parse_proof(entry["text"], th)
+            q = parse_proof(print_proof(p), th)
             if not alpha_eq_formula(p.conclusion, q.conclusion):
                 failures.append(f"{label}: round trip changed conclusion")
     report(capsys, 10, "CLI exit codes and serialization round trip",

@@ -64,31 +64,26 @@ def terms_at(x):
     return (ZERO, App(SUCC, ZERO), Var(x), other), 2
 
 
-STARTS = (500, 600)  # supply starts of the cold and the warm reads
-
-
 def expected_facts(a, fresh):
     """Each fact of ``a`` and of its universal subformulas but the flags, by
-    the oracles: (the call that reads it from a supply start, its value
-    from each of STARTS, whether the call may draw indices)."""
+    the oracles: (the call that reads it, its value, whether computing it
+    renames a binder)."""
     af = plain_subst(a, {}, FALSITY)
     assert alpha_eq(af, naive_subst(a, {}, FALSITY, fresh))
-    out = [(lambda start: subst_bot_falsity(a), (af, af), False)]
+    out = [(lambda: subst_bot_falsity(a), af, False)]
     for q in universals(a):
         x, b = q.bound, q.body
         ts, closed = terms_at(x)
         for i, t in enumerate(ts):
-            # Where a binder is renamed, the fresh computation is subst
-            # from an equal supply; naive_subst fixes it up to renaming.
-            wants = tuple(subst(b, {x: t}, supply=NameSupply(start))
-                          for start in STARTS)
-            assert alpha_eq(wants[0], naive_subst(b, {x: t}, None, fresh))
-            drawless = i < closed or t is Var(x)
-            if drawless:
-                assert wants == (plain_subst(b, {x: t}),) * 2
-            out.append((lambda start, q=q, t=t:
-                        instance(q, t, NameSupply(start)),
-                        wants, not drawless))
+            # Where a binder is renamed, the fresh computation is subst with
+            # a supply of its own; naive_subst fixes it up to renaming.
+            want = subst(b, {x: t})
+            assert alpha_eq(want, naive_subst(b, {x: t}, None, fresh))
+            plain = plain_subst(b, {x: t})
+            if i < closed or t is Var(x):
+                assert want is plain
+            out.append((lambda q=q, t=t: instance(q, t), want,
+                        want is not plain))
         if x.ty == BOOL:
             ax = BoolCases(x, b)
             want = All(x, imp(plain_subst(b, {x: TT}),
@@ -98,8 +93,7 @@ def expected_facts(a, fresh):
             succ = plain_subst(b, {x: App(SUCC, Var(x))})
             want = All(x, imp(plain_subst(b, {x: ZERO}),
                               All(x, Imp(b, succ)), b))
-        out.append((lambda start, ax=ax: axiom_schema(ax, NameSupply(start)),
-                    (want, want), False))
+        out.append((lambda ax=ax: axiom_schema(ax), want, False))
     return out
 
 
@@ -121,19 +115,20 @@ class TestKeptFactsAgreeWithFreshComputation:
             a = _random_ma(rng, rng.randint(1, 24))
             cold += getattr(a, "_flags", None) is None
             facts = expected_facts(a, fresh)
+            renamed += sum(renames for _, _, renames in facts)
             flags = None
-            for warm, start in enumerate(STARTS):
-                for read, wants, may_draw in facts:
+            for warm in (False, True):
+                for read, want, renames in facts:
                     before = draws
-                    assert read(start) is wants[warm]
-                    assert may_draw or draws == before
-                    renamed += draws > before
+                    assert read() is want
+                    # a renaming fact is kept too: read warm, it draws nothing
+                    assert renames and not warm or draws == before
                 # _ref_flags reads A^F, so it runs after A^F was read cold
                 flags = flags or _ref_flags(a, {})
                 report = classify(a)
                 assert tuple(map(report.flag, ClassId)) == flags
         assert cold >= 1000
-        assert renamed >= 50  # the path that keeps nothing is taken too
+        assert renamed >= 50  # the facts that rename a binder are read too
 
 
 def test_certify_and_recheck_keep_no_node_alive():

@@ -187,6 +187,22 @@ class TestAxiomSchema:
             axiom(ax, TheoryId.NA)
 
 
+def test_renamed_instance_does_not_depend_on_the_supply():
+    # Instantiating x at y in forall x forall y (atom (f x y)) renames the
+    # inner binder.  The kernel renames it from a supply of its own, so
+    # rechecking and reading the proof give the very conclusion node.
+    from minarith import All, app, arrow, parse_proof, print_proof
+    from minarith.syntax import NAT
+    f = ObjVar("f", 0, arrow(NAT, NAT, BOOL))
+    x, y = ObjVar("x", 0, NAT), ObjVar("y", 0, NAT)
+    a = All(x, All(y, Atom(app(Var(f), Var(x), Var(y)))))
+    u = fresh_assumption("u", a, NameSupply())
+    m = all_elim(assume(u), Var(y), NameSupply(1000))
+    assert m.conclusion.bound != y
+    assert recheck(m).conclusion is m.conclusion
+    assert parse_proof(print_proof(m), TheoryId.NA).conclusion is m.conclusion
+
+
 def test_recheck_random_proofs():
     from minarith import gen_proof
 

@@ -107,7 +107,7 @@ class TestProofRoundTrip:
     def test_random_proofs(self):
         for seed in range(120):
             m = gen_proof(seed, 12, NameSupply(10_000))
-            n = parse_proof(print_proof(m), m.min_theory, NameSupply(50_000))
+            n = parse_proof(print_proof(m), m.min_theory)
             assert alpha_eq_formula(n.conclusion, m.conclusion)
             assert n.min_theory == m.min_theory
             assert {(u.name, u.index) for u in n.free_assumptions} == \
@@ -178,7 +178,7 @@ class TestSharedForm:
             p = and_intro(m, and_intro(m, m))
             text = print_proof(p)
             assert text.count("#0#") == 2
-            q = parse_proof(text, p.min_theory, NameSupply(50_000))
+            q = parse_proof(text, p.min_theory)
             assert print_proof(q) == text
             assert q.children[0] is q.children[1].children[0]
 

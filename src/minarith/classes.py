@@ -223,17 +223,22 @@ def _cert_imp(a, p, q, af, c, supply):
     _, _, qd, qg, qr, qi = _flags(q)
     pf, qf = af.prem, af.concl  # A^F of an implication is pf -> qf
 
+    if c == ClassId.IRRELEVANT or (c == ClassId.DEFINITE and pi and qd):
+        # along p -> p^F and q^F -> q to A^F -> A, for a definite A with an
+        # irrelevant premise; along the converses to A -> A^F otherwise
+        definite = c == ClassId.DEFINITE
+        ih_p = yield (_cert, p,
+                      ClassId.IRRELEVANT if definite else ClassId.DEFINITE)
+        ih_q = yield (_cert, q, c)
+        u = fresh_assumption("u", af if definite else a, supply)
+        z = fresh_assumption("z", p if definite else pf, supply)
+        body = imp_elim(ih_q, imp_elim(assume(u), imp_elim(ih_p, assume(z))))
+        return imp_intro(u, imp_intro(z, body))
+
     if c == ClassId.DEFINITE:
+        # premise goal, conclusion relevant
         u = fresh_assumption("u", af, supply)
         v = fresh_assumption("v", p, supply)
-        if pi and qd:
-            # premise irrelevant, conclusion definite
-            ih_p = yield (_cert, p, ClassId.IRRELEVANT)
-            ih_q = yield (_cert, q, ClassId.DEFINITE)
-            body = imp_elim(ih_q, imp_elim(assume(u),
-                                           imp_elim(ih_p, assume(v))))
-            return imp_intro(u, imp_intro(v, body))
-        # premise goal, conclusion relevant
         ih_p = yield (_cert, p, ClassId.GOAL)
         ih_q = yield (_cert, q, ClassId.RELEVANT)
         w = fresh_assumption("w", neg(qf), supply)
@@ -291,14 +296,6 @@ def _cert_imp(a, p, q, af, c, supply):
         get_bot = imp_elim(imp_elim(ih_p, assume(v)), pf_bot)
         body = imp_elim(ih_q, imp_intro(nc, get_bot))
         return imp_intro(u, imp_intro(v, body))
-
-    if c == ClassId.IRRELEVANT:
-        ih_p = yield (_cert, p, ClassId.DEFINITE)
-        ih_q = yield (_cert, q, ClassId.IRRELEVANT)
-        u = fresh_assumption("u", a, supply)
-        z = fresh_assumption("z", pf, supply)
-        body = imp_elim(ih_q, imp_elim(assume(u), imp_elim(ih_p, assume(z))))
-        return imp_intro(u, imp_intro(z, body))
 
     raise ValueError(f"unexpected class {c!r}")
 

@@ -341,7 +341,10 @@ def prove_case_distinction(a: Formula, s: Formula, th: TheoryId,
 def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
     match a:
         case Atom(t):
-            b = _fresh_bool_var(supply, t.fv | s.fv)
+            # the least b free in neither t nor S, not one from the supply:
+            # then one BoolCases axiom, with its kept schema and instances,
+            # serves every case distinction on t towards S
+            b = _fresh_bool_var(NameSupply(), t.fv | s.fv)
             atom_b = Atom(Var(b))
             body = imp(Imp(atom_b, s), Imp(neg(atom_b), s), s)
             inst = all_elim(axiom(BoolCases(b, body), th), t)

@@ -19,7 +19,6 @@ a kept fact is the node that computing it again gives.
 from __future__ import annotations
 
 import enum
-from weakref import ref
 
 from .errors import LanguageError, TheoryError
 from .syntax import (FF, TT, BOOL, NO_VARS, App, Const, Expr, Lam,
@@ -285,13 +284,14 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
 
 def instance(a: All, t: Term) -> Formula:
     """``B[x := t]`` for ``a`` = ``forall x B``, kept on ``a`` (weakly, under
-    a weak reference to ``t``).  A binder that would capture a variable of
-    ``t`` is renamed from a supply of the call's own, as ``subst`` does, so
-    the instance depends on ``a`` and ``t`` alone."""
+    ``t``: the instance holds ``t``, so the key keeps nothing alive longer).
+    A binder that would capture a variable of ``t`` is renamed from a supply
+    of the call's own, as ``subst`` does, so the instance depends on ``a``
+    and ``t`` alone."""
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
-    return kept_or_make(a, "_inst", lambda: subst(b, {x: t}), ref(t))
+    return kept_or_make(a, "_inst", lambda: subst(b, {x: t}), t)
 
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,

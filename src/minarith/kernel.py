@@ -326,8 +326,8 @@ def imp_intros(m: Proof, *us: AssumptionVar) -> Proof:
     return m
 
 
-# The third parameter is ignored.  It stays for callers written when an
-# instance could draw names from the caller's supply, which still pass one.
+# The third parameter is ignored: an instance draws no names from its
+# caller, but callers that pass a supply there keep working.
 def all_elim(m: Proof, t: Term, _supply=None) -> Proof:
     if not isinstance(m.conclusion, All):
         raise ShapeError(

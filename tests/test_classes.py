@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from minarith import (BOT, BotPlus, ClassId, Const, FALSITY, FF, GenConfig,
-                      Imp, NameSupply, ObjVar, TheoryId, TRUTH, TT, Var,
-                      alpha_eq_formula, certify, classify, format_report,
+from minarith import (BOT, BoolCases, BotPlus, ClassId, Const, FALSITY, FF,
+                      GenConfig, Imp, NameSupply, ObjVar, TheoryId, TRUTH, TT,
+                      Var, alpha_eq_formula, certify, classify, format_report,
                       formula_size, gen_formula, imp, in_Q, in_QF, neg,
                       app, recheck, subst_bot_falsity, subst_formula_var,
                       theory_leq)
@@ -37,6 +37,20 @@ class TestQ:
 
     def test_bool_quantifier_in_q(self):
         assert in_Q(All(x_bool, Atom(Var(x_bool))))
+
+    def test_q_and_qf_certificates_share_their_case_axiom(self):
+        # The case variable does not come from the supply, so both
+        # certificates of an atom split on one BoolCases node.
+        a = Atom(Var(x_bool))
+
+        def case_axioms(m):
+            return fold(m, lambda n, kids: set().union(*kids) | (
+                {n.params[0]} if n.rule == "axiom"
+                and isinstance(n.params[0], BoolCases) else set()))
+
+        q, = case_axioms(certify(a, ClassId.Q, NameSupply(1000)))
+        qf, = case_axioms(certify(a, ClassId.QF, NameSupply(2000)))
+        assert q is qf
 
     def test_qf_unfolds_bot(self):
         assert in_QF(Imp(BOT, BOT))

@@ -102,12 +102,10 @@ def a_translate_classified(d: Formula, g: Formula, x: ObjVar,
                            premise_proof: Proof,
                            supply: NameSupply | None = None) -> Proof:
     """Run the pipeline with certificates synthesized from the classes."""
-    if supply is None:
-        supply = NameSupply()
-    cert_d = certify(d, ClassId.DEFINITE, supply)
+    cert_d = certify(d, ClassId.DEFINITE)
     if cert_d is None:
         raise ClassError("the premise formula is not definite")
-    cert_g = certify(g, ClassId.GOAL, supply)
+    cert_g = certify(g, ClassId.GOAL)
     if cert_g is None:
         raise ClassError("the goal formula is not a goal formula")
     # The synthesized certificate is closed, so it generalizes over x.

@@ -147,14 +147,12 @@ def in_QF(a: Formula) -> bool:
 def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
     report = ClassReport(*_ma_flags(a))
     if with_certificates:
-        # one supply and one memo: a certificate within two classes'
-        # certificates, such as the GOAL certificate of a premise, is
-        # built once
-        supply, memo = NameSupply(), {}
+        # one memo: a certificate within two classes' certificates, such
+        # as the GOAL certificate of a premise, is built once
+        memo = {}
         for c in ClassId:
             if report.flag(c):
-                report.certificates[c] = synthesize((_cert, a, c), supply,
-                                                    memo)
+                report.certificates[c] = synthesize((_cert, a, c), memo)
     return report
 
 
@@ -162,12 +160,14 @@ def classify(a: Formula, with_certificates: bool = False) -> ClassReport:
 # Certificate synthesis
 
 
-def certify(a: Formula, c: ClassId,
-            supply: NameSupply | None = None) -> Proof | None:
-    """Closed MA proof of the class property of ``a``, if ``a`` is in ``c``."""
+def certify(a: Formula, c: ClassId, supply=None) -> Proof | None:
+    """Closed MA proof of the class property of ``a``, if ``a`` is in ``c``.
+
+    ``supply`` is ignored.
+    """
     if not ClassReport(*_ma_flags(a)).flag(c):
         return None
-    return synthesize((_cert, a, c), supply, {})
+    return synthesize((_cert, a, c), {})
 
 
 def _cert(supply: NameSupply, a: Formula, c: ClassId):

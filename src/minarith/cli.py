@@ -21,7 +21,6 @@ from .formula import TheoryId, gg_translate, in_language, theory_leq
 from .kernel import inspect
 from .sexpr import (parse_formula, parse_proof, print_form,
                     print_formula, print_proof)
-from .syntax import NameSupply
 
 _REASONS = {
     TheoryError: "theory-error",
@@ -83,9 +82,8 @@ def _cmd_translate(args) -> str:
     text = Path(args.premise).read_text(encoding="utf-8")
     premise = parse_proof(text, TheoryId.MA)
     d, g, x = _premise_shape(premise)
-    supply = NameSupply()
     if args.mode == "classified":
-        result = a_translate_classified(d, g, x, premise, supply)
+        result = a_translate_classified(d, g, x, premise)
     else:
         if not (args.cert_d and args.cert_g):
             raise CertificateError(
@@ -95,7 +93,7 @@ def _cmd_translate(args) -> str:
         cert_g = parse_proof(Path(args.cert_g).read_text(encoding="utf-8"),
                              TheoryId.MA)
         inp = TranslationInput(premise, d, g, x, cert_d, cert_g)
-        result = refined_a_translate(inp, supply)
+        result = refined_a_translate(inp)
     return print_proof(result)
 
 

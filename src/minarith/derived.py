@@ -23,23 +23,23 @@ from .syntax import (BOOL, FF, NO_VARS, TT, Const, NameSupply, ObjVar, Term,
                      Var)
 
 
-def synthesize(goal: tuple, supply: NameSupply | None = None,
-               memo: dict | None = None) -> Proof:
+def synthesize(goal: tuple, memo: dict | None = None) -> Proof:
     """Prove ``goal``, a tuple ``(lemma, *args)``.
 
     A lemma is a generator ``lemma(supply, *args)``: it yields each subgoal
     it needs, is sent that subgoal's proof, and returns its own proof.
-    Goals waiting on a subgoal sit on a stack.  With a ``memo``, each goal
-    is proved once; that is sound because every lemma concludes a closed
-    proof, or, in a proof substitution, the one image of its node.
+    Goals waiting on a subgoal sit on a stack.  Each call gets a
+    ``NameSupply()`` of its own: it concludes a closed proof, whose
+    assumptions need be distinct only within it, so the proof of a goal
+    depends on the goal alone and a ``memo`` may prove each goal once.  A
+    proof substitution's ``walk``, whose images are open, draws from its
+    caller's supply instead.
     """
-    if supply is None:
-        supply = NameSupply()
     waiting = []
     while True:
         proof = None if memo is None else memo.get(goal)
         if proof is None:
-            waiting.append((goal, goal[0](supply, *goal[1:])))
+            waiting.append((goal, goal[0](NameSupply(), *goal[1:])))
         while waiting:
             top, lemma = waiting[-1]
             try:
@@ -75,12 +75,11 @@ def bool_generalize(x: ObjVar, b: Formula, m_tt: Proof, m_ff: Proof,
 # Ex falso quodlibet
 
 
-def prove_efq(a: Formula, th: TheoryId,
-              supply: NameSupply | None = None) -> Proof:
-    """Closed proof of F -> A in the given theory."""
+def prove_efq(a: Formula, th: TheoryId, supply=None) -> Proof:
+    """Closed proof of F -> A in the given theory; ``supply`` is ignored."""
     if not in_language(a, th):
         raise LanguageError(f"formula is not in the language of {th.value}")
-    return synthesize((_efq, a, th), supply)
+    return synthesize((_efq, a, th))
 
 
 def _efq(supply: NameSupply, a: Formula, th: TheoryId):
@@ -211,7 +210,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
                for v in values]
         return axiom(type(ax)(*new), th or th_m)
 
-    def walk(supply: NameSupply, m: Proof, sigma):
+    def walk(_, m: Proof, sigma):
         if not sigma and (s is None or m.min_theory is TheoryId.NA):
             return m
         match m.rule:
@@ -239,7 +238,7 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
         return build(m.rule, kids, m.params)
 
     try:
-        return synthesize((walk, m, sigma), supply, {})
+        return synthesize((walk, m, sigma), {})
     finally:
         walk = None  # walk refers to itself: break the cycle, so no GC pass
 
@@ -248,23 +247,25 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
 # Negative-translation equivalence over NA
 
 
-def prove_gg_equiv(a: Formula, supply: NameSupply | None = None) -> Proof:
-    """Closed NA proof of (A -> A~~) and (A~~ -> A), as a conjunction."""
+def prove_gg_equiv(a: Formula, supply=None) -> Proof:
+    """Closed NA proof of (A -> A~~) and (A~~ -> A), as a conjunction.
+
+    ``supply`` is ignored.
+    """
     if not in_language(a, TheoryId.NA):
         raise LanguageError("the equivalence lemma is stated for NA formulas")
-    return synthesize((_gg_equiv, a), supply)
+    return synthesize((_gg_equiv, a))
 
 
 def _gg_equiv(supply: NameSupply, a: Formula):
     na = TheoryId.NA
     match a:
         case Atom(t):
+            u = fresh_assumption("u", a, supply)
             if t == Const("ff"):
-                u = fresh_assumption("u", a, supply)
                 ident = imp_intro(u, assume(u))
                 return and_intro(ident, ident)
             # direction A -> ~~A
-            u = fresh_assumption("u", a, supply)
             v = fresh_assumption("v", neg(a), supply)
             fwd = imp_intro(u, imp_intro(v, imp_elim(assume(v), assume(u))))
             # direction ~~A -> A via case distinction on the payload
@@ -329,22 +330,22 @@ def _gg_of(equiv: Proof) -> Formula:
 
 
 def prove_case_distinction(a: Formula, s: Formula, th: TheoryId,
-                           supply: NameSupply | None = None) -> Proof:
-    """Closed proof of (A -> S) -> (not A -> S) -> S; ClassError outside Q."""
+                           supply=None) -> Proof:
+    """Closed proof of (A -> S) -> (not A -> S) -> S; ClassError outside Q.
+
+    ``supply`` is ignored.
+    """
     if th == TheoryId.PA:
         raise LanguageError("case distinction is synthesized for NA/MA/HA")
     if not in_language(s, th):
         raise LanguageError(f"target formula is not in the language of {th.value}")
-    return synthesize((_cd, a, s, th), supply, {})
+    return synthesize((_cd, a, s, th), {})
 
 
 def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
     match a:
         case Atom(t):
-            # the least b free in neither t nor S, not one from the supply:
-            # then one BoolCases axiom, with its kept schema and instances,
-            # serves every case distinction on t towards S
-            b = _fresh_bool_var(NameSupply(), t.fv | s.fv)
+            b = _fresh_bool_var(supply, t.fv | s.fv)
             atom_b = Atom(Var(b))
             body = imp(Imp(atom_b, s), Imp(neg(atom_b), s), s)
             inst = all_elim(axiom(BoolCases(b, body), th), t)

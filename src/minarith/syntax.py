@@ -269,8 +269,8 @@ class ObjVar(Node):
 class NameSupply:
     """Strictly increasing index source for fresh variable names.
 
-    A supply is deliberately mutable and explicitly passed: each thread of
-    work owns its own supply, everything else stays pure.
+    A supply is deliberately mutable and explicitly passed: whatever draws
+    from one owns it, as each lemma of ``derived.synthesize`` owns its own.
     """
 
     __slots__ = ("next_index",)

@@ -3,7 +3,7 @@
 Run with: python3 demos/classify_demo.py
 """
 
-from minarith import (BOOL, BOT, ClassId, FALSITY, Imp, NameSupply, ObjVar,
+from minarith import (BOOL, BOT, ClassId, FALSITY, Imp, ObjVar,
                       TRUTH, All, Atom, Var, certify, classify, format_report,
                       print_formula, print_proof)
 
@@ -23,7 +23,7 @@ def main() -> None:
     for a in SAMPLES:
         print(print_formula(a))
         print(format_report(classify(a)))
-        cert = certify(a, ClassId.DEFINITE, NameSupply(10_000))
+        cert = certify(a, ClassId.DEFINITE)
         if cert is not None:
             print("definiteness certificate:")
             print(" ", print_proof(cert))

@@ -28,7 +28,7 @@ def synthesize(goal: tuple, memo: dict | None = None) -> Proof:
 
     A lemma is a generator ``lemma(supply, *args)``: it yields each subgoal
     it needs, is sent that subgoal's proof, and returns its own proof.
-    Goals waiting on a subgoal sit on a stack.  Each call gets a
+    Goals waiting on a subgoal sit on a stack.  Each lemma call gets a
     ``NameSupply()`` of its own: it concludes a closed proof, whose
     assumptions need be distinct only within it, so the proof of a goal
     depends on the goal alone and a ``memo`` may prove each goal once.  A

@@ -57,9 +57,9 @@ def remark_st_proof():
     na = fresh_assumption("na", neg(a), sp)
     u = fresh_assumption("u", All(x, a), sp)
     refute = imp_intro(u, imp_elim(assume(na),
-                                   all_elim(assume(u), Var(x), sp)))
+                                   all_elim(assume(u), Var(x))))
     nn_a = imp_intro(na, imp_elim(imp_elim(assume(h), assume(s)), refute))
-    get_a = imp_elim(all_elim(assume(s), Var(x), sp), nn_a)
+    get_a = imp_elim(all_elim(assume(s), Var(x)), nn_a)
     proof = imp_intros(imp_elim(assume(w), all_intro(x, get_a)), h, s, w)
     return proof, st
 

@@ -75,7 +75,7 @@ def test_criterion_02_ex_falso(capsys):
         lang = th if th != TheoryId.PA else TheoryId.HA
         for seed in range(500):
             a = gen_formula(GenConfig(seed=seed, max_size=12, language=lang))
-            p = prove_efq(a, th, NameSupply(50_000))
+            p = prove_efq(a, th)
             if (p.free_assumptions
                     or not alpha_eq_formula(p.conclusion, Imp(FALSITY, a))
                     or not theory_leq(p.min_theory, th)):
@@ -122,7 +122,7 @@ def test_criterion_04_goedel_gentzen(capsys):
     for seed in range(300):
         a = gen_formula(GenConfig(seed=seed, max_size=12,
                                   language=TheoryId.NA))
-        p = prove_gg_equiv(a, NameSupply(50_000))
+        p = prove_gg_equiv(a)
         recheck(p)
         if p.free_assumptions or not in_language(gg_translate(a),
                                                  TheoryId.NA):
@@ -149,7 +149,7 @@ def test_criterion_05_class_certificate_agreement(capsys):
             continue
         af = subst_bot_falsity(a)
         for cid, target in targets.items():
-            cert = certify(a, cid, NameSupply())
+            cert = certify(a, cid)
             if (cert is not None) != r.flag(cid):
                 failures.append(f"seed {seed}: {cid.name} disagreement")
                 continue
@@ -179,7 +179,7 @@ def test_criterion_06_case_distinction(capsys):
         found += 1
         for s in targets:
             th = TheoryId.MA if s == BOT else TheoryId.NA
-            p = prove_case_distinction(a, s, th, NameSupply())
+            p = prove_case_distinction(a, s, th)
             recheck(p)
             from minarith import imp
             want = imp(Imp(a, s), Imp(neg(a), s), s)
@@ -227,7 +227,7 @@ def test_criterion_08_a_translation(capsys):
     def tiny_premise(d, g, x, witness, supply):
         u = fresh_assumption("u", d, supply)
         v = fresh_assumption("v", All(x, Imp(g, BOT)), supply)
-        inner = imp_elim(all_elim(assume(v), witness, supply),
+        inner = imp_elim(all_elim(assume(v), witness),
                          axiom(Truth(), TheoryId.MA))
         return imp_intros(inner, u, v)
 
@@ -244,7 +244,7 @@ def test_criterion_08_a_translation(capsys):
     g = Atom(Var(b))
     u = fresh_assumption("u", TRUTH, supply)
     v = fresh_assumption("v", All(b, Imp(g, BOT)), supply)
-    prem = imp_intros(imp_elim(all_elim(assume(v), TT, supply),
+    prem = imp_intros(imp_elim(all_elim(assume(v), TT),
                                axiom(Truth(), TheoryId.MA)), u, v)
     _translate_and_verify(TRUTH, g, b, prem, supply, failures, "instance 2")
 

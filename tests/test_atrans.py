@@ -8,8 +8,8 @@ from minarith import (BOT, ClassId, Ex, FALSITY, GenConfig, Imp,
                       a_translate_classified, all_elim, all_intro, assume,
                       axiom, alpha_eq_formula, certify, classify,
                       fresh_assumption, gen_formula, imp_elim, imp_intros,
-                      pack_premises, recheck, refined_a_translate,
-                      subst_bot_falsity, theory_leq)
+                      pack_premises, parse_proof, print_proof, recheck,
+                      refined_a_translate, subst_bot_falsity, theory_leq)
 from minarith.errors import (CertificateError, ClassError, EmptyGoalError,
                              ShapeError)
 from minarith.formula import And
@@ -23,12 +23,24 @@ def tiny_premise(d, g, x, witness, supply):
     the quantifier at the given witness term; works when g holds outright."""
     u = fresh_assumption("u", d, supply)
     v = fresh_assumption("v", All(x, Imp(g, BOT)), supply)
-    inner = imp_elim(all_elim(assume(v), witness, supply),
+    inner = imp_elim(all_elim(assume(v), witness),
                      axiom(Truth(), TheoryId.MA))
     return imp_intros(inner, u, v)
 
 
 class TestTheorem:
+    def test_premise_indices_may_coincide_with_the_certificates(self):
+        # The premise draws u 0 and v 1, and so does the goal certificate,
+        # whose v 1 has another formula; each proof is closed, so the two
+        # bindings coexist in the output.
+        x = ObjVar("n", 0, NAT)
+        prem = tiny_premise(TRUTH, TRUTH, x, ZERO, NameSupply(0))
+        out = a_translate_classified(TRUTH, TRUTH, x, prem, NameSupply(0))
+        assert not out.free_assumptions
+        recheck(out)
+        text = print_proof(out)
+        assert print_proof(parse_proof(text, TheoryId.HA)) == text
+
     def test_truth_truth_nat(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
         prem = tiny_premise(TRUTH, TRUTH, x, ZERO, supply)
@@ -43,7 +55,7 @@ class TestTheorem:
         g = Atom(Var(b))
         u = fresh_assumption("u", TRUTH, supply)
         v = fresh_assumption("v", All(b, Imp(g, BOT)), supply)
-        prem = imp_intros(imp_elim(all_elim(assume(v), TT, supply),
+        prem = imp_intros(imp_elim(all_elim(assume(v), TT),
                                    axiom(Truth(), TheoryId.MA)), u, v)
         out = a_translate_classified(TRUTH, g, b, prem, supply)
         assert alpha_eq_formula(out.conclusion, Imp(TRUTH, Ex(b, g)))
@@ -53,7 +65,7 @@ class TestTheorem:
         y = ObjVar("n", supply.draw(), NAT)
         u = fresh_assumption("u", BOT, supply)
         v = fresh_assumption("v", All(y, Imp(BOT, BOT)), supply)
-        prem = imp_intros(imp_elim(all_elim(assume(v), ZERO, supply),
+        prem = imp_intros(imp_elim(all_elim(assume(v), ZERO),
                                    assume(u)), u, v)
         out = a_translate_classified(BOT, BOT, y, prem, supply)
         assert alpha_eq_formula(out.conclusion,

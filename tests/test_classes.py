@@ -39,8 +39,9 @@ class TestQ:
         assert in_Q(All(x_bool, Atom(Var(x_bool))))
 
     def test_q_and_qf_certificates_share_their_case_axiom(self):
-        # The case variable does not come from the supply, so both
-        # certificates of an atom split on one BoolCases node.
+        # The case variable is the least one free in neither term nor
+        # target, so both certificates of an atom split on one
+        # BoolCases node, whatever supply the caller passes.
         a = Atom(Var(x_bool))
 
         def case_axioms(m):
@@ -330,7 +331,7 @@ class TestCertificates:
         r0 = Atom(TT)
         a = Imp(g0, r0)
         assert classify(a).in_D
-        p = certify(a, ClassId.DEFINITE, NameSupply(1000))
+        p = certify(a, ClassId.DEFINITE)
         want = Imp(subst_bot_falsity(a), a)
         assert alpha_eq_formula(p.conclusion, want)
         recheck(p)
@@ -341,7 +342,7 @@ class TestCertificates:
 
     def test_q_certificate_is_case_distinction(self):
         a = Atom(TT)
-        p = certify(a, ClassId.Q, NameSupply(1000))
+        p = certify(a, ClassId.Q)
         want = imp(Imp(a, BOT), Imp(neg(a), BOT), BOT)
         assert alpha_eq_formula(p.conclusion, want)
 
@@ -358,7 +359,7 @@ class TestCertificates:
             report = classify(a)
             af = subst_bot_falsity(a)
             for cid, target in targets.items():
-                cert = certify(a, cid, NameSupply(100_000))
+                cert = certify(a, cid)
                 assert (cert is not None) == report.flag(cid)
                 if cert is not None:
                     assert not cert.free_assumptions

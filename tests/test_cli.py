@@ -208,7 +208,7 @@ def _write_premise(tmp_path):
     x = ObjVar("n", sp.draw(), NAT)
     u = fresh_assumption("u", TRUTH, sp)
     v = fresh_assumption("v", All(x, Imp(TRUTH, BOT)), sp)
-    prem = imp_intros(imp_elim(all_elim(assume(v), ZERO, sp),
+    prem = imp_intros(imp_elim(all_elim(assume(v), ZERO),
                                axiom(Truth(), TheoryId.MA)), u, v)
     src = tmp_path / "prem.prf"
     src.write_text(print_proof(prem), encoding="utf-8")
@@ -227,13 +227,12 @@ class TestTranslate:
 
     def test_certified_mode(self, tmp_path, capsys):
         src, x = _write_premise(tmp_path)
-        sp = NameSupply(1000)
         cert_d = tmp_path / "d.prf"
-        cert_d.write_text(print_proof(certify(TRUTH, ClassId.DEFINITE, sp)),
+        cert_d.write_text(print_proof(certify(TRUTH, ClassId.DEFINITE)),
                           encoding="utf-8")
         cert_g = tmp_path / "g.prf"
         cert_g.write_text(
-            print_proof(all_intro(x, certify(TRUTH, ClassId.GOAL, sp))),
+            print_proof(all_intro(x, certify(TRUTH, ClassId.GOAL))),
             encoding="utf-8")
         code, out, _ = run(capsys, "translate", str(src),
                            "--mode", "certified",

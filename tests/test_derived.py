@@ -58,7 +58,7 @@ class TestExFalso:
         lang = th if th != TheoryId.PA else TheoryId.HA
         for seed in range(100):
             a = gen_formula(GenConfig(seed=seed, max_size=10, language=lang))
-            p = prove_efq(a, th, NameSupply(10_000))
+            p = prove_efq(a, th)
             assert not p.free_assumptions
             assert alpha_eq_formula(p.conclusion, Imp(FALSITY, a))
             assert theory_leq(p.min_theory, th)
@@ -286,7 +286,7 @@ class TestGGEquiv:
         for seed in range(100):
             a = gen_formula(GenConfig(seed=seed, max_size=10,
                                       language=TheoryId.NA))
-            p = prove_gg_equiv(a, NameSupply(10_000))
+            p = prove_gg_equiv(a)
             assert not p.free_assumptions
             assert p.min_theory == TheoryId.NA
             want = And(Imp(a, gg_translate(a)), Imp(gg_translate(a), a))
@@ -311,7 +311,7 @@ class TestCaseDistinction:
     def test_forall_bool_case(self):
         x = ObjVar("x", 0, BOOL)
         a = All(x, Atom(Var(x)))
-        p = prove_case_distinction(a, FALSITY, TheoryId.NA, NameSupply(100))
+        p = prove_case_distinction(a, FALSITY, TheoryId.NA)
         want = imp(Imp(a, FALSITY), Imp(neg(a), FALSITY), FALSITY)
         assert alpha_eq_formula(p.conclusion, want)
         recheck(p)
@@ -343,7 +343,7 @@ class TestCaseDistinction:
             for s in (FALSITY, BOT):
                 th = TheoryId.MA if min_language(s) == TheoryId.MA \
                     else TheoryId.NA
-                p = prove_case_distinction(a, s, th, NameSupply(100_000))
+                p = prove_case_distinction(a, s, th)
                 assert not p.free_assumptions
                 want = imp(Imp(a, s), Imp(neg(a), s), s)
                 assert alpha_eq_formula(p.conclusion, want)
@@ -476,6 +476,39 @@ def test_substitution_and_equivalence_text_is_fixed():
     for seed in range(300):
         a = gen_formula(GenConfig(seed=seed, max_size=12,
                                   language=TheoryId.NA))
-        h.update(print_proof(prove_gg_equiv(a, NameSupply(50_000))).encode())
+        h.update(print_proof(prove_gg_equiv(a)).encode())
     assert h.hexdigest() == \
-        "13d9a189d30e63fbd832176f78d13c3e2d6c71320e23215b81531008ed0b780a"
+        "35b925a19c9d5b52da32f3a313ec7c95ba1e988f53e21da42f7185d886e68c5f"
+
+
+def test_synthesized_text_does_not_depend_on_the_supply():
+    # Each lemma draws from a supply of its own, so a caller's supply,
+    # which the synthesizers ignore, changes no byte of their output.
+    for seed in range(100):
+        a = gen_formula(GenConfig(seed=seed, max_size=9,
+                                  language=TheoryId.MA))
+        na = subst_bot(a, FALSITY)
+        runs = [lambda sp: prove_efq(a, TheoryId.MA, sp),
+                lambda sp: prove_gg_equiv(na, sp),
+                *(lambda sp, c=c: certify(a, c, sp) for c in ClassId)]
+        if classify(a).in_Q:
+            runs.append(lambda sp: prove_case_distinction(a, BOT,
+                                                          TheoryId.MA, sp))
+        for run in runs:
+            low, high = run(NameSupply(0)), run(NameSupply(10 ** 6))
+            assert (low is None) == (high is None)
+            if low is not None:
+                assert print_proof(low) == print_proof(high)
+
+
+def test_ex_falso_and_equivalence_share_their_case_axioms():
+    p, q = (Atom(Var(ObjVar(n, 0, BOOL))) for n in "pq")
+    a = And(p, Imp(q, p))
+
+    def case_axioms(m):
+        return fold(m, lambda n, kids: set().union(*kids) | (
+            {n.params[0]} if n.rule == "axiom"
+            and isinstance(n.params[0], BoolCases) else set()))
+
+    assert len(case_axioms(prove_efq(a, TheoryId.MA))) == 1
+    assert len(case_axioms(prove_gg_equiv(a))) == 1

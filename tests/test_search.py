@@ -82,8 +82,7 @@ class TestBoundedDerivable:
             v = bounded_derivable(goal, TheoryId.NA, 12)
             assert isinstance(v, Derivable)
             recheck(v.witness)
-            p = prove_case_distinction(a, FALSITY, TheoryId.NA,
-                                       NameSupply(100_000))
+            p = prove_case_distinction(a, FALSITY, TheoryId.NA)
             recheck(p)
         assert found == 25
 

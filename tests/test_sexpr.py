@@ -142,7 +142,7 @@ def digest_proofs():
         lang = th if th != TheoryId.PA else TheoryId.HA
         for seed in range(50):
             a = gen_formula(GenConfig(seed=seed, max_size=12, language=lang))
-            yield prove_efq(a, th, NameSupply(50_000))
+            yield prove_efq(a, th)
     for e in load_manifest():
         if e["expect"] == "ok":
             yield parse_proof(e["text"], TheoryId(e["theory"]))
@@ -203,7 +203,7 @@ class TestSharedForm:
         texts = list(map(print_proof, digest_proofs()))
         assert len(texts) == 522
         assert sha256("\n".join(texts).encode()).hexdigest() == \
-            "a8bc82dfc54641f490668adb424e33fcf872c9de719ead7ab8d224dd995e38ae"
+            "969385b654ff968c2afec5cb567f327e82699f1b580b05bd1dbeaf09b672d6f5"
 
     def test_proofs_built_again_over_kept_facts_print_the_same(self):
         # The second build finds the instances, schemas and A^F that the
@@ -387,7 +387,7 @@ def test_print_proof_writes_each_distinct_node_once(monkeypatch):
         a = gen_formula(GenConfig(seed=seed, max_size=12,
                                   language=TheoryId.MA))
         written.clear()
-        m = prove_efq(a, TheoryId.MA, NameSupply(50_000))
+        m = prove_efq(a, TheoryId.MA)
         print_proof(m)
         assert len(written) == len(set(written))
 

@@ -1,7 +1,7 @@
 """Proof walks: deep proofs at the default recursion limit, and shared DAGs
 visited once per distinct node."""
 
-from minarith import (TRUTH, Imp, NameSupply, TheoryId, parse_proof,
+from minarith import (TRUTH, Imp, TheoryId, parse_proof,
                       print_formula, print_proof, prove_efq, prove_gg_equiv,
                       read_sexpr, recheck, subst_bot_proof)
 from minarith.syntax import fold
@@ -22,7 +22,7 @@ def ladder(depth: int):
     a = TRUTH
     for _ in range(depth):
         a = Imp(a, TRUTH)
-    return prove_gg_equiv(a, NameSupply(0))
+    return prove_gg_equiv(a)
 
 
 def test_deep_chain_round_trip():
@@ -46,7 +46,7 @@ def test_ladder_walks_keep_sharing():
     assert distinct_nodes(p) == 377
     assert distinct_nodes(recheck(p)) <= 377
     assert distinct_nodes(subst_bot_proof(p, TRUTH)) <= 377
-    assert len(print_proof(p).encode()) == 26_244
+    assert len(print_proof(p).encode()) == 26_040
 
 
 def test_ladder_round_trip_keeps_sharing():

@@ -4,30 +4,22 @@ One grammar, shared between the test fixtures and the CLI, is declared once.
 ``_GRAMMAR`` maps each head symbol of a type, variable, term, formula, axiom
 or assumption to the class its form builds, whose fields give the arguments;
 ``_PROOF_FORMS`` declares the proof forms.  One reader (``_parse``) and one
-printer (``_write``, ``print_proof``) serve all of them.
+printer (``_print``) serve all of them, each with an explicit stack, so the
+depth of a text is not limited by Python's recursion limit.  The reader
+builds each form when its closing parenthesis arrives, a proof through the
+kernel constructors, so a proof that parses has already been checked.
 
-The reader makes one pass over the tokens with an explicit stack of open
-forms, so the depth of the text is not limited by Python's recursion limit.
-Each form is built when its closing parenthesis arrives: types, terms and
-formulas by their constructors, proofs through the kernel constructors, so
-a proof that parses has already been checked.  A proof writes the text of a
-formula out at every use, so the reader keeps a memo, for one call, of the
-values read from the arguments of proof, ``axiom`` and ``assume`` forms and
-of the lists up to two levels below them, keyed on their category and text:
-a text met again is not read again.  Deeper lists are not looked up, so
-each token is joined into a key at most four times and reading stays linear.
-The printer memoizes on identity for one call, so a proof writes out the
-text of each distinct formula, term and type once, however often it is used.
-
-A proof form may carry a label in the style of the Common Lisp reader
+Any list form may carry a label in the style of the Common Lisp reader
 (CLHS 2.4.8.15-16): ``#n=(form)`` defines label n and a later ``#n#``
-stands for the same form, so a shared subproof is written and checked once.
+stands for the same form.  ``print_proof`` labels every form that a proof
+uses more than once, so the text of each is written and read once.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import accumulate, repeat
+from operator import attrgetter
 
 from .errors import ParseError
 from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
@@ -63,10 +55,8 @@ def _label(tok: str) -> tuple[int, str] | None:
 
 
 def _depths(tokens: list[str]) -> list[int]:
-    """The parenthesis depth after each token of a text of one form.
-
-    Raises ``ParseError`` unless the tokens are exactly one form.
-    """
+    """The parenthesis depth after each token; ``ParseError`` unless the
+    tokens are exactly one form."""
     if not tokens:
         raise ParseError("empty input")
     if tokens[0] == ")":
@@ -82,20 +72,13 @@ def _depths(tokens: list[str]) -> list[int]:
     return depth
 
 
-def _define(n: int, tokens: list[str], i: int, labels: dict, starts: dict,
-            proof: bool = True) -> None:
-    """Open label n, defined by ``tokens[i]``, on the list that follows.
-
-    Only proof forms other than ``assume`` take labels, so a label where no
-    proof can stand (``proof`` false) is refused too.
-    """
+def _define(n: int, tokens: list[str], i: int, labels: dict,
+            starts: dict) -> None:
+    """Open label n, defined by ``tokens[i]``, on the list that follows."""
     if n in labels:
         raise ParseError(f"label #{n}= is defined twice")
     if tokens[i + 1:i + 2] != ["("]:
         raise ParseError(f"label #{n}= is not followed by a list")
-    if not proof or tokens[i + 2] not in _LABELLED_FORMS:
-        raise ParseError(f"label #{n}= is on {_show(tokens, i + 1, starts)}; "
-                         "only proof forms other than assume take labels")
     labels[n] = None  # until the form is complete
     starts[n] = i + 1
 
@@ -143,18 +126,26 @@ def _show(tokens: list[str], i: int, starts: dict, limit: int = 60) -> str:
     return "".join(out) + " ..."
 
 
-def _brief(x, limit: int = 40) -> str:
-    """The printed text of ``x``, cut off after ``limit`` characters."""
-    text = print_form(x)
+def _brief(ty: ObjType, limit: int = 40) -> str:
+    """The text of a type cut off after ``limit`` characters, or its size."""
+    if (n := _type_size(ty, {})) > limit:  # labels can make it exponential
+        return f"<{type(ty).__name__} of {n} nodes>"
+    text = print_form(ty)
     return text if len(text) <= limit else text[:limit] + " ..."
+
+
+def _type_size(ty: ObjType, sizes: dict) -> int:
+    """Nodes of a type written out as a tree; ``sizes`` memoizes by node."""
+    return fold(ty, lambda _, kids: 1 + sum(kids), lambda t: [
+        a for a in _shape(t)[1] if isinstance(a, ObjType)], sizes)
 
 
 def read_sexpr(text: str):
     """Parse one toplevel form into nested lists of symbol strings.
 
-    Every use of a label is the very list object it labels.  A label may
-    only name a proof form, and only once; a use must come after the end
-    of the form, so the result has no cycle.
+    Every use of a label is the very list object it labels.  A label names
+    a list, and is defined once; a use must come after the end of the
+    form, so the result has no cycle.
     """
     tokens = _tokenize(text)
     _depths(tokens)
@@ -227,41 +218,6 @@ _READERS.update((("term", tag), (Const, ("type",) * arity))
                 for tag, (arity, _) in _CONST_SPECS.items())
 
 
-def _write(x, memo: dict) -> str:
-    """The text of ``x``, which ``memo`` (texts by ``id``) does not hold.
-
-    One frame per level; callers look in the memo first, so a node already
-    written costs no frame.  The memo lives for one top-level call, so each
-    distinct node is written once.
-    """
-    key = id(x)
-    if type(x) is Var:
-        x = x.var  # a term variable is written as its ObjVar
-    if type(x) is Const:
-        parts, args = [x.tag], x.params
-    else:
-        parts = [_HEADS[type(x)]]
-        args = map(x.__getattribute__, x.__match_args__)
-    for a in args:
-        if type(a) is str:
-            parts.append(a)
-        elif type(a) is int:
-            parts.append(str(a))
-        else:
-            parts.append(memo.get(id(a)) or _write(a, memo))
-    text = memo[key] = f"({' '.join(parts)})"
-    return text
-
-
-def print_form(x) -> str:
-    """Print a type, variable, term, formula, axiom or assumption."""
-    return _write(x, {})
-
-
-# One printer serves every category.
-print_type = print_term = print_formula = print_form
-
-
 # ---------------------------------------------------------------------------
 # Proofs
 
@@ -279,10 +235,11 @@ _PROOF_FORMS = {  # tag: (rule, fixed, before, n, after)
     "inst": ("all_elim", (), (), 1, ("term",)),
     "gen": ("all_intro", (), ("variable",), 1, ()),
 }
-_PROOF_TAGS = {(rule, fixed): tag
-               for tag, (rule, fixed, *_) in _PROOF_FORMS.items()}
-# Only these forms take labels: a label names a shared subproof.
-_LABELLED_FORMS = {*_PROOF_FORMS, "axiom"}
+# The head of each rule's form, and whether its parameters (an assumption
+# or variable) are written before its subproofs; a projection's side is in
+# its head.
+_PROOF_HEADS = {(rule, fixed): (tag, bool(before))
+                for tag, (rule, fixed, before, _, _) in _PROOF_FORMS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +258,21 @@ _NULLARY = {(c, head): Const(head, ()) if cls is Const else cls()
             for (c, head), (cls, kinds) in _READERS.items() if not kinds}
 _WHAT = {"str": "a symbol", "int": "an integer"}
 _PART_OF_PREMISE = {"imp_elim", "proj"}
-_MEMO_LEVELS = 3  # an argument and the lists one and two levels below it
-# The lists in these forms are arguments of a proof, axiom or assume form.
-_RESTART = {"proof", "assumption", "axiom"}
 
 
 class _Open:
     """A form that the reader has opened and not yet closed."""
 
-    __slots__ = ("kind", "head", "cls", "kinds", "start", "key", "proof",
-                 "label", "level", "args")
+    __slots__ = ("kind", "head", "cls", "kinds", "start", "proof", "label",
+                 "args")
 
-    def __init__(self, kind, head, row, start, key, proof, label, level):
+    def __init__(self, kind, head, row, start, proof, label):
         self.kind = kind  # its category
         self.head = head  # its head, two symbols for an axiom
         self.cls, self.kinds = row  # its row of _FORMS
         self.start = start  # index of its opening parenthesis
-        self.key = key  # its memo key, if its value is to be kept
         self.proof = proof  # whether it stands where a proof stands
         self.label = label  # the label it defines, if any
-        self.level = level  # memo level of the lists in it
         self.args: list = []
 
 
@@ -328,21 +280,22 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
     """Build the value of ``category`` that ``text`` writes, in one pass.
 
     Proofs go through the kernel constructors; kernel errors propagate.  A
-    form used through labels is built once.  Through labels a few lines of
-    text can double a conclusion on each line, so a labelled text may not
-    have a conclusion with more nodes, written out with its terms, than the
-    square of its token count.  Tree-form text is not bounded.
+    labelled form is built once; a use stands for it, a variable's also for
+    its term, a term variable's for its variable and an assumption's for its
+    ``assume`` leaf.  In a text that defines a label no type, conclusion, or
+    formula or term read as the whole text may have more nodes, written out
+    with its terms, than the square of the token count: through labels each
+    line of text can double a form.  Tree-form text is not bounded.
     """
     tokens = _tokenize(text)
-    depth = _depths(tokens)
+    _depths(tokens)
     bound = len(tokens) ** 2 if "#" in text and any(
         t[-1] == "=" and _label(t) for t in tokens) else None
-    sizes: dict = {}  # written-out size of each formula and term node met
-    memo: dict = {}  # value by category and text, of the texts looked up
-    labels: dict[int, Proof | None] = {}
+    sizes: dict = {}  # written-out size of each type, formula and term met
+    labels: dict[int, tuple[str, object] | None] = {}  # (category, value)
     starts: dict[int, int] = {}  # index of each label's form, for quotes
     label = None  # the label defined just before the next list
-    root = _Open(category, None, (None, (category,)), 0, None, False, None, 0)
+    root = _Open(category, None, (None, (category,)), 0, False, None)
     stack = [root]  # forms still open, innermost last
 
     def unrecognized(kind: str, start: int) -> ParseError:
@@ -356,9 +309,16 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
         return ParseError(f"expected {_WHAT[want]} in the {f.kind} form "
                           f"{_show(tokens, f.start, starts)}, got {got}")
 
+    def too_large(what: str, n: int) -> ParseError:
+        return ParseError(f"the {what} has {n} nodes written out, "
+                          f"more than {bound}")
+
     def proved(x, tag: str, label: int | None) -> Proof:
         # The proof of a form whose head is tag, checked and labelled.
         if type(x) is AssumptionVar:
+            if label is not None:
+                labels[label] = ("assumption", x)
+                label = None
             x = assume(x)
         elif not isinstance(x, Proof):
             x = axiom(x, th)
@@ -366,10 +326,9 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
         # premise's, which has been measured.
         if bound is not None and x.rule not in _PART_OF_PREMISE and \
                 (n := written_size(x.conclusion, sizes)) > bound:
-            raise ParseError(f"the {tag} form's conclusion has {n} nodes "
-                             f"written out, more than {bound}")
+            raise too_large(f"{tag} form's conclusion", n)
         if label is not None:
-            labels[label] = x
+            labels[label] = ("proof", x)
         return x
 
     i, count = 0, len(tokens)
@@ -401,10 +360,13 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
                         f"ill-typed {f.kind} form "
                         f"{_show(tokens, f.start, starts)}: its terms have "
                         f"types {types}") from None
-                if f.key is not None:
-                    memo[f.key] = x
+                if f.kind == "type" and bound is not None and \
+                        (n := _type_size(x, sizes)) > bound:
+                    raise too_large("type", n)
             if f.proof:
                 x = proved(x, tokens[f.start + 1], f.label)
+            elif f.label is not None:
+                labels[f.label] = (f.kind, x)
             stack[-1].args.append(x)
             continue
         try:
@@ -429,32 +391,27 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
                     (x := _NULLARY.get((want, head))) is not None:
                 if at_proof:
                     x = proved(x, tokens[start + 1], label)
-                    label = None
+                elif label is not None:
+                    labels[label] = (want, x)
                 args.append(x)
+                label = None
                 i += 1
                 continue
-            key = None
-            if label is None and want != "proof" and f.level < _MEMO_LEVELS:
-                end = depth.index(depth[start] - 1, i)
-                key = want + " ".join(tokens[start:end + 1])
-                if "#" in key:
-                    key = None
-                elif (x := memo.get(key)) is not None:
-                    if at_proof:
-                        x = proved(x, tokens[start + 1], None)
-                    args.append(x)
-                    i = end + 1
-                    continue
-            stack.append(_Open(want, head, row, start, key, at_proof, label,
-                               0 if want in _RESTART else f.level + 1))
+            stack.append(_Open(want, head, row, start, at_proof, label))
             label = None
         elif tok[0] == "#" and (m := _label(tok)):
             if m[1] == "=":
                 label = m[0]
-                _define(label, tokens, i - 1, labels, starts, want == "proof")
+                _define(label, tokens, i - 1, labels, starts)
                 continue
-            x = _use(m[0], labels)
-            if want != "proof":
+            kind, x = _use(m[0], labels)
+            if kind == "assumption" and want == "proof":
+                kind, x = want, proved(x, "assume", None)
+            elif (kind, want) == ("variable", "term"):
+                kind, x = want, Var(x)
+            elif (kind, want) == ("term", "variable") and type(x) is Var:
+                kind, x = want, x.var
+            if kind != want:
                 raise wrong(f, want, i - 1)
             args.append(x)
         elif want == "str":
@@ -466,7 +423,11 @@ def _parse(text: str, category: str, th: TheoryId | None = None):
                 args.append(int(tok))
             except ValueError:
                 raise wrong(f, want, i - 1) from None
-    return root.args[0]
+    x = root.args[0]
+    if bound is not None and category in ("formula", "term") and \
+            (n := written_size(x, sizes)) > bound:
+        raise too_large(category, n)
+    return x
 
 
 def parse_type(text: str) -> ObjType:
@@ -490,62 +451,102 @@ def parse_proof(text: str, th: TheoryId) -> Proof:
 # Printer
 
 
-def print_proof(m: Proof) -> str:
-    """Print a proof, writing each shared subproof once.
+# The arguments of each class of _HEADS: one value, or a tuple of them.
+_FIELDS = {cls: attrgetter(*cls.__match_args__) if cls.__match_args__
+           else lambda x: () for cls in _HEADS}
+# The text of each form without arguments, which is never labelled.
+_ATOMS = {x: f" ({head})" for (_, head), x in _NULLARY.items()}
 
-    A node with more than one use, other than an ``assume`` leaf, is written
-    ``#n=<form>`` at its first place and ``#n#`` at the others, with labels
-    numbered from 0 in print order.  A proof without such a node prints as
-    a plain tree.  The text of each distinct formula, term and type is made
-    once and reused wherever the proof uses it.
-    """
-    uses: dict[int, int] = {}
-    memo: dict[int, str] = {}  # of _write, for the whole proof
 
-    def write(x) -> str:
-        return memo.get(id(x)) or _write(x, memo)
+def _shape(x) -> tuple[str, tuple]:
+    """The head of the form that writes ``x`` and its arguments, in order;
+    ``x`` is neither a term variable nor an ``assume`` leaf."""
+    if type(x) is Proof:
+        rule, params = x.rule, x.params
+        if rule == "proj":
+            return _PROOF_HEADS[rule, params][0], x.children
+        if rule != "axiom":
+            tag, first = _PROOF_HEADS[rule, ()]
+            return tag, params + x.children if first else x.children + params
+        x = params[0]
+    cls = type(x)
+    if cls is Const:
+        return x.tag, x.params
+    args = _FIELDS[cls](x)
+    return _HEADS[cls], args if type(args) is tuple else (args,)
 
-    # The image of a node is a new tuple of its own text and the images of
-    # its children, so below it stands for the node; the image of an assume
-    # leaf, which is never labelled, is its text.
-    def parts(m: Proof, kids) -> str | tuple:
-        for k in kids:
-            uses[id(k)] = uses.get(id(k), 0) + 1
-        if m.rule == "assume":
-            return write(m.params[0])
-        if m.rule == "axiom":
-            return (write(m.params[0]),)
-        tag = _PROOF_TAGS.get((m.rule, ())) or \
-            _PROOF_TAGS[m.rule, m.params[:1]]
-        _, fixed, before, _, _ = _PROOF_FORMS[tag]
-        args = m.params[len(fixed):]
-        text, image = f"({tag}", []
-        for x in args[:len(before)]:
-            text += " " + write(x)
-        for k in kids:
-            image += (text + " ", k)
-            text = ""
-        for x in args[len(before):]:
-            text += " " + write(x)
-        image.append(text + ")")
-        return tuple(image)
 
-    stack = [fold(m, parts)]
-    # Label of each shared image, None until it is first printed.
-    labels = dict.fromkeys(i for i, n in uses.items() if n > 1)
-    out: list[str] = []
-    count = 0
+def _shared(root) -> set:
+    """The forms with arguments that ``root`` uses more than once, a term
+    variable counted as its variable, an ``assume`` leaf as its assumption."""
+    seen: set = set()
+    shared: set = set()
+    stack = [(root,)]  # argument tuples still to be counted
     while stack:
-        part = stack.pop()
-        if isinstance(part, str):
-            out.append(part)
-        elif id(part) not in labels:
-            stack += reversed(part)
-        elif labels[id(part)] is None:
-            labels[id(part)] = count
-            out.append(f"#{count}=")
-            count += 1
-            stack += reversed(part)
-        else:
-            out.append(f"#{labels[id(part)]}#")
-    return "".join(out)
+        for a in stack.pop():
+            t = type(a)
+            if t is str or t is int or a in _ATOMS:
+                continue
+            if t is Var:
+                a = a.var
+            elif t is Proof and a.rule == "assume":
+                a = a.params[0]
+            if a in seen:
+                shared.add(a)
+            else:
+                seen.add(a)
+                stack.append(_shape(a)[1])
+    return shared
+
+
+def _print(root, shared=frozenset()) -> str:
+    """The text of ``root``, written in pre-order, each form in ``shared``
+    as ``#n=<form>`` where it first occurs and as ``#n#`` after that."""
+    out: list[str] = []  # each form's text starts with a space
+    labels: dict = {}
+    stack = [root]
+    push, write = stack.append, out.append
+    while stack:
+        x = stack.pop()
+        text = x if type(x) is str else _ATOMS.get(x)
+        if text is not None:
+            write(text)
+            continue
+        t = type(x)
+        if t is Var:
+            x = x.var
+        elif t is Proof and x.rule == "assume":
+            x = x.params[0]
+        text = " ("
+        if x in shared:
+            if (n := labels.get(x)) is not None:
+                write(f" #{n}#")
+                continue
+            n = labels[x] = len(labels)
+            text = f" #{n}=("
+        head, args = _shape(x)
+        write(text + head)
+        push(")")
+        for a in reversed(args):
+            t = type(a)
+            push(" " + a if t is str else f" {a}" if t is int else a)
+    return "".join(out)[1:]
+
+
+def print_form(x) -> str:
+    """Print a type, variable, term, formula, axiom or assumption as a tree."""
+    return _print(x)
+
+
+# One printer serves every category.
+print_type = print_term = print_formula = print_form
+
+
+def print_proof(m: Proof) -> str:
+    """Print a proof, writing each form that it uses more than once once.
+
+    A subproof, assumption, formula, term, variable or type with arguments
+    and more than one use is written ``#n=<form>`` at its first place and
+    ``#n#`` at the others, with labels numbered from 0 in print order.
+    """
+    return _print(m, _shared(m))

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,50 @@ def load_manifest():
     for e in entries:
         e["text"] = (FIXTURE_DIR / e["file"]).read_text()
     return entries
+
+
+# The heads of the proof forms, whose labels name shared subproofs.
+PROOF_HEADS = {"pair-pf", "proj0", "proj1", "app-pf", "lam-pf", "inst", "gen",
+               "axiom"}
+
+
+def unlabel(text: str) -> str:
+    """Printed proof text as it was before labels went on other forms.
+
+    Every label on a form that is not a proof form (an assumption, formula,
+    term, variable or type) is written out at each of its uses, and the
+    labels left, on proof forms, are numbered from 0 again in print order.
+    This shares no code with ``minarith.sexpr``.
+    """
+    written = {}  # label of a form that is not a proof form: its text
+    numbers = {}  # label of a proof form: its new number
+    stack = [[None, []]]  # for each open list: its label and its parts
+    label = None
+    for tok in re.findall(r"[()]|[^\s()]+", text):
+        parts = stack[-1][1]
+        if tok == "(":
+            stack.append([label, ["("]])
+            label = None
+        elif tok == ")":
+            n, parts = stack.pop()
+            form = "(" + " ".join(parts[1:]) + ")"
+            if n in numbers:
+                form = f"#{numbers[n]}={form}"
+            elif n is not None:
+                written[n] = form
+            stack[-1][1].append(form)
+        elif m := re.fullmatch(r"#(\d+)([=#])", tok):
+            n = int(m[1])
+            if m[2] == "=":
+                label = n
+            else:
+                parts.append(written.get(n) or f"#{numbers[n]}#")
+        else:
+            if parts == ["("] and stack[-1][0] is not None \
+                    and tok in PROOF_HEADS:
+                numbers[stack[-1][0]] = len(numbers)
+            parts.append(tok)
+    return stack[0][1][0]
 
 
 def check_fixture_proof(text: str, th: TheoryId):

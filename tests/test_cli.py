@@ -12,8 +12,9 @@ from minarith import (All, Atom, BOOL, BOT, ClassId, FALSITY, Imp, NAT,
                       NameSupply, ObjVar, TheoryId, TRUTH, Var, ZERO,
                       all_intro, alpha_eq_formula, and_intro, assume, axiom,
                       certify, fresh_assumption, gg_translate, imp_elim,
-                      all_elim, imp_intros, parse_formula, parse_proof,
-                      print_formula, print_proof, recheck, Truth)
+                      all_elim, And, imp_intros, parse_formula, parse_proof,
+                      print_formula, print_proof, prove_efq, prove_gg_equiv,
+                      recheck, Truth)
 from minarith.cli import main
 
 from conftest import load_manifest
@@ -215,6 +216,43 @@ def _write_premise(tmp_path):
     return src, x
 
 
+def _checked_conclusion(capsys, tmp_path, text: str, theory: str) -> str:
+    src = tmp_path / "out.prf"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src), "--theory", theory)
+    assert (code, err) == (0, "")
+    head, _, concl = out.splitlines()[-1].partition(" ⊢ ")
+    assert head == theory
+    return concl
+
+
+def test_printed_proofs_pass_check_with_their_conclusions(tmp_path, capsys):
+    # Every proof the commands print labels the forms it uses twice, and
+    # check reads it back to the conclusion the command proved.
+    p, q = (Atom(Var(ObjVar(n, 0, BOOL))) for n in "pq")
+    a = Imp(And(p, Imp(q, p)), Imp(q, p))
+    src = tmp_path / "f.fml"
+    src.write_text(print_formula(a), encoding="utf-8")
+    g = gg_translate(a)
+    runs = [(["efq", "--theory", "MA"], "MA", -1,
+             prove_efq(a, TheoryId.MA).conclusion),
+            (["gg"], "NA", 1, And(Imp(a, g), Imp(g, a))),
+            (["search", "--theory", "NA"], "NA", 1, a)]
+    for argv, theory, line, want in runs:
+        code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+        assert (code, err) == (0, "")
+        text = out.splitlines()[line]
+        assert "#0=" in text
+        assert _checked_conclusion(capsys, tmp_path, text, theory) == \
+            print_formula(want)
+    prem, _ = _write_premise(tmp_path)
+    assert "#0=" in prem.read_text(encoding="utf-8")  # a labelled premise
+    code, out, err = run(capsys, "translate", str(prem))
+    assert (code, err) == (0, "")
+    assert _checked_conclusion(capsys, tmp_path, out.strip(), "HA") == \
+        "(imp (atom (tt)) (ex (var n 0 (nat)) (atom (tt))))"
+
+
 class TestTranslate:
     def test_classified_mode(self, tmp_path, capsys):
         src, x = _write_premise(tmp_path)
@@ -354,14 +392,34 @@ def test_classify_handles_deep_input(depth, tmp_path, capsys):
 
 
 def test_deep_input_exits_with_depth_error(tmp_path, capsys):
-    # gg prints the translated formula, and the formula printer recurses.
-    src = tmp_path / "deep.frm"
-    src.write_text(_tt_chain(1500), encoding="utf-8")
-    code, out, err = run(capsys, "gg", str(src))
+    # Instantiating a quantifier substitutes into its body, and the
+    # substitution recurses.
+    x = "(var x 0 (bool))"
+    body = "(imp (atom (tt)) " * 1500 + f"(atom {x})" + ")" * 1500
+    src = tmp_path / "deep.prf"
+    src.write_text(f"(inst (gen {x} (lam-pf (assume u 0 {body}) "
+                   f"(assume u 0 {body}))) (tt))", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src), "--theory", "NA")
     assert code == 1
     assert out.startswith("depth-error: ")
     assert len(out.splitlines()) == 1
     assert err == ""
+
+
+def test_gg_prints_deep_input(tmp_path, capsys):
+    # The printer walks with an explicit stack, so gg prints the
+    # translation of a deep formula and its equivalence proof.
+    text = _tt_chain(1500)
+    src = tmp_path / "deep.frm"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "gg", str(src))
+    assert (code, err) == (0, "")
+    g, proof = out.splitlines()
+    a = parse_formula(text)
+    assert parse_formula(g) is gg_translate(a)
+    p = parse_proof(proof, TheoryId.NA)
+    assert p.conclusion is prove_gg_equiv(a).conclusion
+    assert not p.free_assumptions
 
 
 @pytest.mark.parametrize("theory", ["HA", "NA"])

@@ -3,6 +3,7 @@
 import re
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from hashlib import sha256
 
@@ -21,9 +22,9 @@ from minarith.errors import ParseError, ShapeError
 from minarith.formula import (BOT, All, And, Atom, Bot, Ex, Or, imp,
                               written_size)
 from minarith.syntax import (SUCC, TT, ZERO, App, BoolType, Lam, ListType,
-                             NatType, Prod, TypeVar, Var, _CONST_SPECS)
+                             NatType, Prod, TypeVar, Var, _CONST_SPECS, fold)
 
-from conftest import load_manifest
+from conftest import PROOF_HEADS, load_manifest, unlabel
 
 
 class TestReader:
@@ -156,8 +157,7 @@ class TestSharedForm:
         p = and_intro(and_intro(t, imp_elim(ident, t)), ident)
         assert print_proof(p) == (
             "(pair-pf (pair-pf #0=(axiom truth) (app-pf "
-            "#1=(lam-pf (assume u 0 (atom (tt))) (assume u 0 (atom (tt)))) "
-            "#0#)) #1#)")
+            "#1=(lam-pf #2=(assume u 0 (atom (tt))) #2#) #0#)) #1#)")
 
     def test_labelled_text_builds_each_form_once(self):
         text = "(pair-pf #0=(pair-pf #1=(axiom truth) #1#) #0#)"
@@ -182,28 +182,60 @@ class TestSharedForm:
             assert print_proof(q) == text
             assert q.children[0] is q.children[1].children[0]
 
-    # One case per kind of malformed label.
+    # One case per kind of malformed label, and per kind of use of a
+    # label where its category cannot stand.
     @pytest.mark.parametrize("text", [
         "(pair-pf #0# (axiom truth))",
         "#1=(pair-pf #1# #1#)",
         "(pair-pf #0=(axiom truth) #0=(axiom truth))",
         "(pair-pf #0= truth #0#)",
-        "(lam-pf (assume u 0 (atom (tt))) #0=(assume u 0 (atom (tt))))",
-        "(lam-pf (assume u 0 #0=(atom (tt))) (assume u 0 #0#))",
-        "(inst (gen (var x 0 (bool)) (axiom truth)) #0=(tt))",
-        "(gen (var x 0 #0=(bool)) (axiom truth))",
+        "(pair-pf (assume u 0 #0=(atom (tt))) "
+        "(inst (gen (var x 0 (bool)) (axiom truth)) #0#))",
+        "(pair-pf (inst (gen (var x 0 (bool)) (axiom truth)) #0=(tt)) #0#)",
+        "(lam-pf #0=(assume u 0 (atom (tt))) (assume u 0 #0#))",
     ], ids=["undefined", "not-complete", "defined-twice", "not-a-list",
-            "on-assume", "on-formula", "on-term", "on-type"])
+            "formula-as-term", "term-as-proof", "assumption-as-formula"])
     def test_malformed_labels_are_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_proof(text, TheoryId.NA)
 
+    # A label on each category of form, each read as the text without it.
+    @pytest.mark.parametrize("text, plain", [
+        ("(lam-pf (assume u 0 (atom (tt))) #0=(assume u 0 (atom (tt))))",
+         "(lam-pf (assume u 0 (atom (tt))) (assume u 0 (atom (tt))))"),
+        ("(lam-pf (assume u 0 #0=(atom (tt))) (assume u 0 #0#))",
+         "(lam-pf (assume u 0 (atom (tt))) (assume u 0 (atom (tt))))"),
+        ("(inst (gen (var x 0 (bool)) (axiom truth)) #0=(tt))",
+         "(inst (gen (var x 0 (bool)) (axiom truth)) (tt))"),
+        ("(gen (var x 0 #0=(bool)) (axiom truth))",
+         "(gen (var x 0 (bool)) (axiom truth))"),
+        ("(lam-pf #0=(assume u 0 (atom (tt))) #0#)",
+         "(lam-pf (assume u 0 (atom (tt))) (assume u 0 (atom (tt))))"),
+        ("(inst (gen #0=(var x 0 (bool)) (axiom truth)) #0#)",
+         "(inst (gen (var x 0 (bool)) (axiom truth)) (var x 0 (bool)))"),
+        ("(pair-pf (inst (gen (var y 0 (bool)) (axiom truth)) "
+         "#0=(var x 0 (bool))) (gen #0# (axiom truth)))",
+         "(pair-pf (inst (gen (var y 0 (bool)) (axiom truth)) "
+         "(var x 0 (bool))) (gen (var x 0 (bool)) (axiom truth)))"),
+    ], ids=["on-assume", "on-formula", "on-term", "on-type",
+            "assumption-as-proof", "variable-as-term", "term-as-variable"])
+    def test_labels_on_any_form_read_as_the_plain_text(self, text, plain):
+        p = parse_proof(text, TheoryId.NA)
+        q = parse_proof(plain, TheoryId.NA)
+        assert p.conclusion is q.conclusion
+        assert p.free_assumptions == q.free_assumptions
+        assert print_proof(p) == print_proof(q)
+
     def test_unshared_proofs_print_as_plain_trees(self):
-        # Digest of the same proofs printed before labels existed.
+        # Printed before labels went on forms other than proofs, these
+        # proofs gave the old digest; with the labels on other forms
+        # written out again, the text is the same byte for byte.
         texts = list(map(print_proof, digest_proofs()))
         assert len(texts) == 522
         assert sha256("\n".join(texts).encode()).hexdigest() == \
-            "969385b654ff968c2afec5cb567f327e82699f1b580b05bd1dbeaf09b672d6f5"
+            "153bd1968eebcad32f0485b10c3ce55b887b6a60beb203dca7b59a6809608978"
+        assert sha256("\n".join(map(unlabel, texts)).encode()).hexdigest() \
+            == "969385b654ff968c2afec5cb567f327e82699f1b580b05bd1dbeaf09b672d6f5"
 
     def test_proofs_built_again_over_kept_facts_print_the_same(self):
         # The second build finds the instances, schemas and A^F that the
@@ -220,6 +252,14 @@ class TestSharedForm:
         parse_proof(text, TheoryId.NA)
         with pytest.raises(ParseError, match="conclusion"):
             parse_proof("#0=" + text, TheoryId.NA)
+
+    def test_reprinted_inst_chain_is_held_to_the_bound(self):
+        # Printed, the chain labels its variable and so is held to the
+        # bound, which its conclusion exceeds: it does not read back.
+        text = print_proof(parse_proof(inst_chain(12), TheoryId.NA))
+        assert "#0=" in text
+        with pytest.raises(ParseError, match="conclusion"):
+            parse_proof(text, TheoryId.NA)
 
     def test_tree_form_inst_chain_builds_shared_conclusion(self):
         # Substitution shares what it inserts, so the conclusion is built
@@ -372,24 +412,33 @@ class TestGrammarOracle:
                 assert parse_formula(print_formula(a)) is a
 
 
-def test_print_proof_writes_each_distinct_node_once(monkeypatch):
-    # Each assumption of these proofs is printed at its lam-pf and at one
-    # or more assume leaves, but its text is made once.
-    written = []
-    write = sexpr._write
+def written_forms(text: str) -> list[str]:
+    # The text of every list in ``text``, as it stands there.
+    opened, forms = [], []
+    for i, c in enumerate(text):
+        if c == "(":
+            opened.append(i)
+        elif c == ")":
+            forms.append(text[opened.pop():i + 1])
+    return forms
 
-    def counting(x, memo):
-        written.append(id(x))
-        return write(x, memo)
 
-    monkeypatch.setattr(sexpr, "_write", counting)
+def test_print_proof_writes_each_distinct_node_once():
+    # Each assumption of these proofs is used at its lam-pf and at one or
+    # more assume leaves, and their formulas share subformulas, but no
+    # form other than a proof or a form without arguments is written out
+    # twice, and each distinct proof node other than a leaf is written once.
     for seed in range(30):
         a = gen_formula(GenConfig(seed=seed, max_size=12,
                                   language=TheoryId.MA))
-        written.clear()
         m = prove_efq(a, TheoryId.MA)
-        print_proof(m)
-        assert len(written) == len(set(written))
+        forms = written_forms(print_proof(m))
+        others = [f for f in forms if f.split()[0][1:] not in PROOF_HEADS]
+        repeated = {f for f in others if others.count(f) > 1}
+        assert all(" " not in f for f in repeated), repeated
+        nodes: dict = {}
+        fold(m, lambda n, kids: n.rule != "assume", images=nodes)
+        assert len(forms) - len(others) == sum(nodes.values())
 
 
 class TestAssumeForms:
@@ -405,14 +454,85 @@ class TestAssumeForms:
 
 
 def test_deep_chain_prints_and_parses_at_default_recursion_limit():
-    # One frame per level: 900 levels fit under the default limit of 1000.
+    # The printer and the reader walk with explicit stacks.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         a = imp(*[TRUTH] * 900)
         assert parse_formula(print_formula(a)) is a
+        a = imp(*[TRUTH] * 100_001)
+        assert parse_formula(print_formula(a)) is a
+        m = prove_efq(a, TheoryId.NA)
+        p = parse_proof(print_proof(m), TheoryId.NA)
+        assert p.conclusion is m.conclusion and not p.free_assumptions
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_printing_a_deep_chain_takes_memory_linear_in_its_text():
+    # A printer that keeps the text of every node it has written holds
+    # 900 ever longer texts here: 7.6 MB at its peak.
+    a = imp(*[TRUTH] * 901)
+    tracemalloc.start()
+    try:
+        text = print_formula(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 900 * 18 + 11 and peak < 1_000_000
+
+
+def labelled_doubling(k: int, base: str, step: str) -> str:
+    # The form of label j is ``step`` with label j - 1 in both holes,
+    # defined in the first, and label 0 is ``base``: written out, k levels
+    # have 2^k copies of base.
+    text = f"#0={base}"
+    for j in range(1, k + 1):
+        text = f"#{j}=" + step.format(text, f"#{j - 1}#")
+    return text
+
+
+DOUBLINGS = {
+    "formula": labelled_doubling(40, "(atom (tt))", "(and {} {})"),
+    "term": labelled_doubling(
+        40, "(tt)", "(app (app (app (cases (bool)) (tt)) {}) {})"),
+    "type": labelled_doubling(40, "(bool)", "(arrow {} {})"),
+}
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_formula, DOUBLINGS["formula"]),
+    (parse_term, DOUBLINGS["term"]),
+    (parse_type, DOUBLINGS["type"]),
+    (parse_formula, f"(all (var x 0 {DOUBLINGS['type']}) (bot))"),
+    (parse_term, f"(nil {DOUBLINGS['type']})"),
+    (parse_proof, f"(gen (var x 0 {DOUBLINGS['type']}) (axiom truth))"),
+], ids=["formula", "term", "type", "type-in-formula", "type-in-term",
+        "type-in-proof"])
+def test_labelled_text_is_bounded_in_every_category(parse, text):
+    args = (TheoryId.NA,) if parse is parse_proof else ()
+    start = time.process_time()
+    with pytest.raises(ParseError, match="nodes written out"):
+        parse(text, *args)
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["gg", "classify"])
+def test_labelled_doubling_formula_exits_2(command, tmp_path, capsys):
+    # Without the bound, gg would write out a formula of 2^40 atoms.
+    src = tmp_path / "f.fml"
+    src.write_text(DOUBLINGS["formula"], encoding="utf-8")
+    assert main([command, str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse-error") and captured.out == ""
+
+
+def test_ill_typed_form_quotes_a_labelled_type_briefly():
+    # 11 levels of labels, within the bound, give a type of 4,095 nodes.
+    ty = labelled_doubling(11, "(bool)", "(arrow {} {})")
+    with pytest.raises(ParseError, match="<ListType of 4096 nodes>") as e:
+        parse_term(f"(app (lam (var x 0 (bool)) (tt)) (nil {ty}))")
+    assert len(str(e.value)) < 200
 
 
 def _parse_in(category: str):
@@ -534,8 +654,8 @@ def test_20k_deep_assumption_parses_and_rechecks():
 
 
 def test_deep_argument_is_read_in_linear_time():
-    # Lists more than two levels below an argument are not looked up, so
-    # a deep formula is not joined into a key at every level.
+    # Each token is looked at once, so a deep formula is read in time
+    # linear in its text.
     text = f"(assume u 0 {chain_text(50_000)})"
     start = time.process_time()
     p = parse_proof(text, TheoryId.NA)
@@ -563,13 +683,23 @@ def test_repeated_argument_text_is_read_once(monkeypatch):
 
     monkeypatch.setattr(sexpr, "_Open", Counting)
     a = "(assume u 0 (imp (atom (var x 0 (bool))) (and (bot) (bot))))"
-    p = parse_proof(f"(lam-pf {a} (pair-pf {a} {a}))", TheoryId.MA)
-    # The root, lam-pf, its assumption and the formulas in it, pair-pf; the
-    # two assume leaves are found in the memo, (bool) and (bot) in a table.
+    plain = f"(lam-pf {a} (pair-pf {a} {a}))"
+    text = print_proof(parse_proof(plain, TheoryId.MA))
+    assert text == "(lam-pf #0=(assume u 0 (imp (atom (var x 0 (bool))) " \
+        "(and (bot) (bot)))) (pair-pf #0# #0#))"
+    opened.clear()
+    p = parse_proof(text, TheoryId.MA)
+    # The root, lam-pf, the assumption and its formulas, pair-pf: each
+    # form once; (bool) and (bot) are found in a table.
     assert opened == ["proof", "proof", "assumption", "formula", "formula",
                       "term", "formula", "proof"]
     u, = p.params
     assert all(leaf.params == (u,) for leaf in p.children[0].children)
+    # Written out at each use, the assumption is read three times, and
+    # gives one variable.
+    q = parse_proof(plain, TheoryId.MA)
+    u, = q.params
+    assert all(leaf.params == (u,) for leaf in q.children[0].children)
 
 
 @pytest.mark.parametrize("parse, text", [

@@ -6,6 +6,8 @@ from minarith import (TRUTH, Imp, TheoryId, parse_proof,
                       read_sexpr, recheck, subst_bot_proof)
 from minarith.syntax import fold
 
+from conftest import unlabel
+
 
 def distinct_nodes(m) -> int:
     seen, stack = set(), [m]
@@ -46,7 +48,10 @@ def test_ladder_walks_keep_sharing():
     assert distinct_nodes(p) == 377
     assert distinct_nodes(recheck(p)) <= 377
     assert distinct_nodes(subst_bot_proof(p, TRUTH)) <= 377
-    assert len(print_proof(p).encode()) == 26_040
+    text = print_proof(p)
+    assert len(text.encode()) == 5_155
+    # 26,040 bytes with only the shared subproofs labelled.
+    assert len(unlabel(text).encode()) == 26_040
 
 
 def test_ladder_round_trip_keeps_sharing():

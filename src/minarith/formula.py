@@ -8,12 +8,15 @@ symbol bottom, ``HA``/``PA`` instead add strong disjunction and existence.
 Like terms, formulas are interned and carry facts set at construction:
 their free variables ``fv``, and whether they contain bottom (``has_bot``)
 or strong disjunction or existence (``has_strong``).  ``subst`` is the one
-substitution over terms and formulas.  As an interned node stands for its
-value, a formula also keeps, once asked, its A^F, its instances and its
-class flags; A^F and instances by weak reference, to keep no node alive.
-Each is a pure function of its node: where an instance renames a binder,
-it draws from a supply of its own, as ``subst`` does when given none, so
-a kept fact is the node that computing it again gives.
+substitution over terms and formulas, a ``syntax.fold``; ``alpha_eq`` walks
+a stack of pairs of nodes.  Neither is limited by depth, but ``subst``
+rebuilds each binder that it renames by a call of its own, so binders it
+renames inside one another do take Python's stack.  As an interned node
+stands for its value, a formula also keeps, once asked, its A^F, its
+instances and its class flags; A^F and instances by weak reference, to keep
+no node alive.  Each is a pure function of its node: where an instance
+renames a binder, it draws from a supply of its own, as ``subst`` does when
+given none, so a kept fact is the node that computing it again gives.
 """
 
 from __future__ import annotations
@@ -187,40 +190,30 @@ def formula_free_vars(a: Formula) -> frozenset[ObjVar]:
     return a.fv
 
 
-def canonical_formula(a: Formula | Term):
-    """Nameless (de Bruijn level) form of a formula or term.
-
-    Two formulas, or two terms, are alpha-equal when their forms are equal.
-    """
-    def go(a, env: dict[ObjVar, int], depth: int):
-        match a:
-            case Var(v):
-                if v in env:
-                    return ("bound", env[v])
-                return ("free", v.name, v.index, v.ty)
-            case Const(tag, params):
-                return ("const", tag, params)
-            case Bot():
-                return ("bot",)
-            case Atom(t):
-                return ("atom", go(t, env, depth))
-            case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
-                return (type(a).__name__.lower(), go(l, env, depth),
-                        go(r, env, depth))
-            case Lam(x, b) | All(x, b) | Ex(x, b):
-                return (type(a).__name__.lower(), x.ty,
-                        go(b, {**env, x: depth}, depth + 1))
-        raise ValueError(f"unexpected node {a!r}")
-
-    try:
-        return go(a, {}, 0)
-    finally:
-        go = None  # go refers to itself: break the cycle, so no GC pass
-
-
 def alpha_eq(a: Formula | Term, b: Formula | Term) -> bool:
-    """Equality of two formulas, or two terms, up to bound variable names."""
-    return a is b or canonical_formula(a) == canonical_formula(b)
+    """Equality of two formulas, or two terms, up to bound variable names.
+    Two distinct leaves differ, as nodes are interned, so a walk over pairs
+    of nodes works only at binders: it renames the second body to the
+    first's variable, which is not free in it once the ``fv`` agree."""
+    if a is b:
+        return True
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b) or a.fv != b.fv or t is Var or t is Const:
+            return False
+        if t is All or t is Lam or t is Ex:
+            x, y = a.bound, b.bound
+            if x.ty is not y.ty:
+                return False
+            stack.append((a.body, b.body if x is y
+                          else subst(b.body, {y: Var(x)})))
+        else:
+            stack += zip(a._args(a), b._args(b))
+    return True
 
 
 alpha_eq_formula = alpha_eq
@@ -238,48 +231,55 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
     replace comes back as it is, and each node is rebuilt at most once
     (memoized on identity), so the result shares what ``a`` shares.  Calls
     with one ``sigma``, ``bot`` and ``supply`` may share one ``memo``.
+    The walk is a ``fold``; only a binder that drops its variable from
+    ``sigma`` or renames it is rebuilt by a call of its own, on the stack.
     """
+    keys = frozenset(sigma)  # a set's isdisjoint reuses the stored hashes
+    if keys.isdisjoint(a.fv) and (bot is None or isinstance(a, Term)
+                                  or not a.has_bot):
+        return a
     if supply is None:
         supply = NameSupply()
-    keys = frozenset(sigma)  # a set's isdisjoint reuses the stored hashes
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
+    for x, t in sigma.items():  # the leaves' images: fold enters no leaf
+        memo[Var(x)] = t
+    if bot is not None:
+        memo[BOT] = bot
+    below = {}  # binder -> its variable and the substitution below it
 
-    def go(n):
-        if keys.isdisjoint(n.fv) and (bot is None or isinstance(n, Term)
-                                      or not n.has_bot):
-            return n
-        out = memo.get(n)
-        if out is not None:
-            return out
-        match n:
-            case Var(v):
-                out = sigma[v]
-            case Bot():
-                out = bot
-            case Atom(t):
-                out = Atom(go(t))
-            case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
-                out = type(n)(go(l), go(r))
-            case Lam(x, b) | All(x, b) | Ex(x, b):
-                inner = sigma
-                if x in sigma:
-                    inner = {y: t for y, t in sigma.items() if y != x}
-                inserted = [t.fv for y, t in inner.items() if y in b.fv]
-                if bot is not None and isinstance(b, Formula) and b.has_bot:
-                    inserted.append(bot.fv)
-                if any(x in fv for fv in inserted):
-                    fresh = supply.fresh_avoiding(x, b.fv.union(*inserted))
-                    inner, x = {**inner, x: Var(fresh)}, fresh
-                out = type(n)(x, go(b) if inner is sigma
-                              else subst(b, inner, bot, supply))
-        memo[n] = out
-        return out
+    def children(n):
+        # The children of n that change.  A binder whose substitution
+        # changes below it has none: visit rebuilds it, and its fresh name
+        # is drawn here, in pre-order.
+        t = type(n)
+        if t is All or t is Lam or t is Ex:
+            x, b = n.bound, n.body
+            inner = sigma
+            if x in sigma:
+                inner = {y: r for y, r in sigma.items() if y != x}
+            inserted = [r.fv for y, r in inner.items() if y in b.fv]
+            if bot is not None and t is not Lam and b.has_bot:
+                inserted.append(bot.fv)
+            if any(x in fv for fv in inserted):
+                fresh = supply.fresh_avoiding(x, b.fv.union(*inserted))
+                inner, x = {**inner, x: Var(fresh)}, fresh
+            if inner is not sigma:
+                below[n] = x, inner
+                return ()
+            kids = (b,)
+        else:
+            kids = n._args(n)
+        if bot is None or t is Atom or t is App or t is Lam:  # term kids
+            return [c for c in kids if not keys.isdisjoint(c.fv)]
+        return [c for c in kids if c.has_bot or not keys.isdisjoint(c.fv)]
 
-    try:
-        return go(a)
-    finally:
-        go = None  # go refers to itself: break the cycle, so no GC pass
+    def visit(n, _):
+        if n in below:
+            x, inner = below.pop(n)
+            return type(n)(x, subst(n.body, inner, bot, supply))
+        return type(n)(*[memo.get(c, c) for c in n._args(n)])
+
+    return fold(a, visit, children, memo)
 
 
 def instance(a: All, t: Term) -> Formula:
@@ -353,14 +353,9 @@ def subst_bot_falsity(a: Formula) -> Formula:
     return fold(a, visit, children, images)
 
 
-def subformulas(a: Formula) -> tuple[Formula, ...]:
+def subformulas(a: Formula) -> list[Formula]:
     """The immediate subformulas of ``a``."""
-    match a:
-        case Imp(l, r) | And(l, r) | Or(l, r):
-            return (l, r)
-        case All(_, b) | Ex(_, b):
-            return (b,)
-    return ()
+    return [c for c in a._args(a) if isinstance(c, Formula)]
 
 
 def gg_translate(a: Formula) -> Formula:

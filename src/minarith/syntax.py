@@ -82,8 +82,7 @@ class Node:
 
     def __reduce__(self):
         # Copying and unpickling go through __new__, so they intern too.
-        return type(self), tuple(map(self.__getattribute__,
-                                     self.__match_args__))
+        return type(self), self._args(self)
 
     def __setattr__(self, name: str, value=None):
         raise AttributeError(f"cannot set or delete {name!r}: "
@@ -110,6 +109,9 @@ def node(cls):
     ns["_defaults"] = {n: ns.pop(n) for n in fields if n in ns}
     cls = type(cls.__name__, cls.__bases__, ns)
     cls._setters = tuple(vars(cls)[n].__set__ for n in fields)
+    get = attrgetter(*fields) if fields else None
+    cls._args = staticmethod(  # _args(n): the tuple of n's field values
+        get if len(fields) > 1 else lambda n: (get(n),) if get else ())
     post = cls.__post_init__  # None when it is the no-op: not called
     cls._post_init = None if post is Node.__post_init__ else post
     cls._table, cls._forget = _new_table()
@@ -310,7 +312,7 @@ class Expr(Node):
     @property
     def children(self) -> list[Expr]:
         """The terms and formulas among the constructor arguments."""
-        return [c for c in self.__reduce__()[1] if isinstance(c, Expr)]
+        return [c for c in self._args(self) if isinstance(c, Expr)]
 
 
 def union(a: frozenset, b: frozenset) -> frozenset:

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from minarith import (All, App, Arrow, Atom, BOOL, BOT, Imp, NAT, NameSupply,
-                      ObjVar, TheoryId, Var, all_elim, all_intro, assume,
-                      fresh_assumption, imp_elim, imp_intro, imp_intros, neg,
-                      parse_proof, subst_bot_falsity, theory_leq)
+from minarith import (All, And, App, Arrow, Atom, BOOL, BOT, Bot, Const, Ex,
+                      Imp, Lam, NAT, NameSupply, ObjVar, Or, TheoryId, Var,
+                      all_elim, all_intro, assume, fresh_assumption, imp_elim,
+                      imp_intro, imp_intros, neg, parse_proof,
+                      subst_bot_falsity, theory_leq)
 from minarith.errors import TheoryError
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -64,6 +65,27 @@ def unlabel(text: str) -> str:
                 numbers[stack[-1][0]] = len(numbers)
             parts.append(tok)
     return stack[0][1][0]
+
+
+def nameless(a, bound=()):
+    """A form of a formula or term without bound variable names: two
+    formulas, or two terms, are alpha-equal exactly when their forms are
+    equal.  A bound variable is written as the number of binders between it
+    and its own (de Bruijn).  This shares no code with ``minarith.formula``.
+    """
+    match a:
+        case Var(v):
+            return ("bound", bound.index(v)) if v in bound else ("free", v)
+        case Const() | Bot():
+            return a
+        case Atom(t):
+            return ("atom", nameless(t, bound))
+        case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+            return (type(a).__name__, nameless(l, bound),
+                    nameless(r, bound))
+        case Lam(x, b) | All(x, b) | Ex(x, b):
+            return (type(a).__name__, x.ty, nameless(b, (x, *bound)))
+    raise ValueError(f"unexpected node {a!r}")
 
 
 def check_fixture_proof(text: str, th: TheoryId):

@@ -20,10 +20,10 @@ from minarith import (All, Atom, BOOL, BOT, ClassId, Derivable, FALSITY,
                       subst_bot_proof, theory_leq)
 from minarith.cli import main as cli_main
 from minarith.errors import (EigenvariableError, ShapeError, TheoryError)
-from minarith.formula import Ex, canonical_formula
+from minarith.formula import Ex
 
-from conftest import (check_fixture_proof, load_manifest, remark_st_formula,
-                      remark_st_proof)
+from conftest import (check_fixture_proof, load_manifest, nameless,
+                      remark_st_formula, remark_st_proof)
 
 MANIFEST = load_manifest()
 
@@ -104,9 +104,9 @@ def test_criterion_03_bot_substitution(capsys):
                 failures.append(f"seed {seed}: conclusion")
                 continue
             key = lambda pair: (pair[0], repr(pair[1]))
-            want = sorted(((u.name, canonical_formula(subst_bot(u.formula, s)))
+            want = sorted(((u.name, nameless(subst_bot(u.formula, s)))
                            for u in m.free_assumptions), key=key)
-            got = sorted(((u.name, canonical_formula(u.formula))
+            got = sorted(((u.name, nameless(u.formula))
                           for u in n.free_assumptions), key=key)
             if want != got:
                 failures.append(f"seed {seed}: assumption images")

@@ -9,9 +9,11 @@ import pytest
 
 from minarith import (BOT, BoolCases, BotPlus, ClassId, Const, FALSITY, FF,
                       GenConfig, Imp, NameSupply, ObjVar, TheoryId, TRUTH, TT,
-                      Var, alpha_eq_formula, certify, classify, format_report,
-                      formula_size, gen_formula, imp, in_Q, in_QF, neg,
-                      app, recheck, subst_bot_falsity, subst_formula_var,
+                      Var, all_elim, alpha_eq_formula, assume, certify,
+                      classify, format_report, formula_size, fresh_assumption,
+                      gen_formula, imp, imp_intro, in_Q, in_QF, neg, app,
+                      parse_proof, print_proof, prove_case_distinction,
+                      recheck, subst_bot_falsity, subst_formula_var,
                       theory_leq)
 from minarith import classes
 from minarith.errors import LanguageError
@@ -416,6 +418,25 @@ def test_deep_chain_certifies_at_the_default_recursion_limit():
         assert certify(a, c).conclusion == want[c]
     certs = classify(a, with_certificates=True).certificates
     assert {c: m.conclusion for c, m in certs.items()} == want
+
+
+def test_deep_quantifier_body_is_instantiated_at_the_default_limit():
+    # forall x (tt -> ... -> atom x): Q and QF certify through its boolean
+    # instances, which substitute on an explicit stack, and so does the
+    # kernel's all_elim when a proof of it is read and rechecked.  It has no
+    # bottom, so it is its own A^F.
+    x = ObjVar("x", 0, BOOL)
+    a = All(x, imp(*[TRUTH] * 1500, Atom(Var(x))))
+    assert sys.getrecursionlimit() < 1500
+    for c in (ClassId.Q, ClassId.QF):
+        assert certify(a, c).conclusion == _TARGETS[c](a, a)
+    p = prove_case_distinction(a, BOT, TheoryId.MA)
+    assert p.conclusion == imp(Imp(a, BOT), Imp(neg(a), BOT), BOT)
+    u = fresh_assumption("u", a, NameSupply())
+    m = imp_intro(u, all_elim(assume(u), TT))
+    text = print_proof(m)
+    assert recheck(parse_proof(text, TheoryId.NA)).conclusion is \
+        Imp(a, imp(*[TRUTH] * 1501))
 
 
 def test_six_classes_of_a_400_deep_chain_certify_in_linear_time():

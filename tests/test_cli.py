@@ -391,14 +391,29 @@ def test_classify_handles_deep_input(depth, tmp_path, capsys):
     assert out.split() == [f"{c}=yes" for c in ("Q", "QF", "D", "G", "R", "I")]
 
 
-def test_deep_input_exits_with_depth_error(tmp_path, capsys):
-    # Instantiating a quantifier substitutes into its body, and the
-    # substitution recurses.
+def test_deep_instance_checks(tmp_path, capsys):
+    # Instantiating a quantifier substitutes into its body, on an explicit
+    # stack, so the check does not meet the recursion limit.
     x = "(var x 0 (bool))"
     body = "(imp (atom (tt)) " * 1500 + f"(atom {x})" + ")" * 1500
     src = tmp_path / "deep.prf"
     src.write_text(f"(inst (gen {x} (lam-pf (assume u 0 {body}) "
                    f"(assume u 0 {body}))) (tt))", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src), "--theory", "NA")
+    assert (code, err) == (0, "")
+    theory, concl = out.strip().split(" ⊢ ")
+    b = parse_formula(_tt_chain(1500))
+    assert (theory, parse_formula(concl)) == ("NA", Imp(b, b))
+
+
+def test_deep_input_exits_with_depth_error(tmp_path, capsys):
+    # Putting x for y under 1,500 binders over x renames each of them, and
+    # each renamed binder's body is substituted by a call of its own.
+    x, y = "(var x 0 (bool))", "(var y 0 (bool))"
+    body = f"(all {x} " * 1500 + f"(atom {y})" + ")" * 1500
+    src = tmp_path / "deep.prf"
+    src.write_text(f"(inst (gen {y} (lam-pf (assume u 0 {body}) "
+                   f"(assume u 0 {body}))) {x})", encoding="utf-8")
     code, out, err = run(capsys, "check", str(src), "--theory", "NA")
     assert code == 1
     assert out.startswith("depth-error: ")

@@ -22,7 +22,7 @@ from minarith.errors import ClassError, LanguageError
 from minarith.kernel import AssumptionVar, BoolCases, Truth, all_elim
 from minarith.syntax import BOOL, NAT, fold
 
-from conftest import unlabel
+from conftest import nameless, unlabel
 
 
 class TestExFalso:
@@ -149,12 +149,11 @@ class TestSubstBotProof:
                 recheck(n)
                 # the free assumptions are the substituted originals, with
                 # their names and indices
-                from minarith.formula import canonical_formula
                 key = lambda triple: (*triple[:2], repr(triple[2]))
-                want = sorted(((u.name, u.index, canonical_formula(
+                want = sorted(((u.name, u.index, nameless(
                     subst_bot(u.formula, s))) for u in m.free_assumptions),
                     key=key)
-                got = sorted(((u.name, u.index, canonical_formula(u.formula))
+                got = sorted(((u.name, u.index, nameless(u.formula))
                               for u in n.free_assumptions), key=key)
                 assert want == got
 

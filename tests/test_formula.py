@@ -20,6 +20,9 @@ from minarith import (BOOL, BOT, FALSITY, FF, NAT, TRUTH, All, And, App,
                       theory_leq, weak_and, weak_exists, weak_or)
 from minarith import syntax
 from minarith.errors import LanguageError, TheoryError
+from minarith.formula import instance
+
+from conftest import nameless
 
 x_bool = ObjVar("x", 0, BOOL)
 n_nat = ObjVar("n", 1, NAT)
@@ -175,17 +178,26 @@ def test_formula_size():
 
 
 def test_formula_walks_are_not_limited_by_depth():
-    # tt -> (tt -> ... a), 100k deep; interning makes ``is`` compare the
-    # expected chain in O(1).
-    def chain(leaf):
-        a = leaf
+    # leaf -> (leaf -> ... bottom), 100k deep; interning makes ``is``
+    # compare the expected chain in O(1).
+    def chain(leaf, bottom=None):
+        a = leaf if bottom is None else bottom
         for _ in range(100_000):
             a = Imp(leaf, a)
         return a
 
+    assert sys.getrecursionlimit() < 100_000
     assert formula_size(chain(TRUTH)) == 200_001
     assert gg_translate(chain(TRUTH)) is chain(neg(neg(TRUTH)))
     assert subst_bot_falsity(chain(BOT)) is chain(FALSITY)
+    x, y = x_bool, ObjVar("y", 0, BOOL)
+    over_x = All(x, chain(TRUTH, Atom(Var(x))))
+    assert subst(over_x.body, {x: TT}) is chain(TRUTH)
+    assert instance(over_x, FF) is chain(TRUTH, FALSITY)
+    assert alpha_eq(over_x, All(y, chain(TRUTH, Atom(Var(y)))))
+    assert not alpha_eq(over_x, All(y, over_x.body))  # x is left unbound
+    not_x = Atom(App(App(App(CASES, Var(x)), FF), TT))
+    assert not alpha_eq(over_x, All(x, chain(TRUTH, not_x)))
 
 
 def test_formula_walks_visit_a_shared_node_once():
@@ -335,6 +347,45 @@ class TestInterning:
             "(all (var y 0 (bool)) (imp (atom (var y 0 (bool))) (bot)))"
 
 
+def renamed_binders(a, rng, env=None):
+    """``a`` with the variable of each binder, and the occurrences that it
+    binds, replaced by a random one of the same type.  The new variable may
+    capture an occurrence, and the copy is then not alpha-equal to ``a``."""
+    env = env or {}
+    match a:
+        case Var(v):
+            return Var(env.get(v, v))
+        case Const() | Bot():
+            return a
+        case Atom(t):
+            return Atom(renamed_binders(t, rng, env))
+        case App(l, r) | Imp(l, r) | And(l, r) | Or(l, r):
+            return type(a)(renamed_binders(l, rng, env),
+                           renamed_binders(r, rng, env))
+        case Lam(x, b) | All(x, b) | Ex(x, b):
+            y = ObjVar(rng.choice("xy"), rng.randrange(3), x.ty)
+            return type(a)(y, renamed_binders(b, rng, {**env, x: y}))
+
+
+def test_alpha_eq_agrees_with_nameless_forms():
+    rng = random.Random(4)
+    formulas = [gen_formula(GenConfig(seed=seed, max_size=12, language=th))
+                for th in (TheoryId.MA, TheoryId.HA) for seed in range(1000)]
+    terms = [random_term(rng, rng.randint(1, 12)) for _ in range(600)]
+    pairs = []
+    for items in (formulas, terms):
+        for a, other in zip(items, items[1:]):
+            copy = renamed_binders(a, rng)
+            pairs += [(a, copy), (copy, renamed_binders(a, rng)), (a, other)]
+    verdicts = []
+    for a, b in pairs:
+        want = nameless(a) == nameless(b)
+        assert alpha_eq(a, b) is alpha_eq(b, a) is want, (a, b)
+        verdicts.append(want and a is not b)
+    assert len(pairs) >= 5_000
+    assert 1_000 < sum(verdicts) < len(pairs) - 1_000
+
+
 class TestSubstOracle:
     def test_agrees_with_naive_substitution(self):
         rng = random.Random(2)
@@ -387,16 +438,21 @@ class TestSubstOracle:
         assert out == Atom(TT)
 
     def test_leaves_no_cyclic_garbage(self):
-        # Every node a substitution makes is freed by reference counting,
-        # without waiting for a collection.
-        x, y, _ = POOL
+        # Every node a substitution or a comparison makes is freed by
+        # reference counting, without waiting for a collection.
+        x, y, z = POOL
         a = All(y, Imp(Atom(Var(x)), Imp(BOT, Atom(Var(y)))))
+        twin = All(z, Imp(Atom(Var(x)), Imp(BOT, Atom(Var(z)))))
         gc.collect()
         gc.disable()
         try:
             assert subst_formula_var(a, x, Var(y)) is not a
+            # two nested binders renamed, each by a call of its own
+            both = And(Atom(Var(x)), Atom(Var(y)))
+            assert subst(All(x, a), {}, both).body.bound is not y
             assert subst_bot_falsity(a) is not a
             assert alpha_eq(a, All(x, a.body)) is False
+            assert alpha_eq(a, twin) is True
             assert gc.collect() == 0
         finally:
             gc.enable()

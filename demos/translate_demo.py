@@ -25,7 +25,7 @@ def main() -> None:
     print("premise conclusion:")
     print(" ", print_formula(premise.conclusion))
 
-    result = a_translate_classified(TRUTH, TRUTH, x, premise, supply)
+    result = a_translate_classified(TRUTH, TRUTH, x, premise)
     recheck(result)
     print("translated conclusion (closed, theory", result.min_theory.value,
           "or below):")

@@ -67,9 +67,8 @@ def _validate(inp: TranslationInput) -> tuple[Formula, Formula]:
 
 def refined_a_translate(inp: TranslationInput,
                         supply: NameSupply | None = None) -> Proof:
-    """Closed HA proof of D^F -> exists x G^F."""
-    if supply is None:
-        supply = NameSupply()
+    """Closed HA proof of D^F -> exists x G^F; ``supply`` is ignored."""
+    supply = NameSupply()  # the four assumptions' indices
     df, gf = _validate(inp)
     g, x = inp.G, inp.x
 
@@ -89,7 +88,7 @@ def refined_a_translate(inp: TranslationInput,
 
     # Step 2: substitute the strong existence for bot.
     goal = Ex(x, gf)
-    step2 = subst_bot_proof(step1, goal, supply)
+    step2 = subst_bot_proof(step1, goal)
 
     # Step 3: discharge forall x (G^F -> exists x G^F) via the intro axiom.
     intro = axiom(ExIntro(gf, x, Var(x)), TheoryId.HA)
@@ -101,7 +100,8 @@ def refined_a_translate(inp: TranslationInput,
 def a_translate_classified(d: Formula, g: Formula, x: ObjVar,
                            premise_proof: Proof,
                            supply: NameSupply | None = None) -> Proof:
-    """Run the pipeline with certificates synthesized from the classes."""
+    """Run the pipeline with certificates synthesized from the classes;
+    ``supply`` is ignored."""
     cert_d = certify(d, ClassId.DEFINITE)
     if cert_d is None:
         raise ClassError("the premise formula is not definite")
@@ -111,7 +111,7 @@ def a_translate_classified(d: Formula, g: Formula, x: ObjVar,
     # The synthesized certificate is closed, so it generalizes over x.
     cert_g = all_intro(x, cert_g)
     inp = TranslationInput(premise_proof, d, g, x, cert_d, cert_g)
-    return refined_a_translate(inp, supply)
+    return refined_a_translate(inp)
 
 
 def pack_premises(ds, gs) -> tuple[Formula, Formula]:

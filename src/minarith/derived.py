@@ -29,11 +29,8 @@ def synthesize(goal: tuple, memo: dict | None = None) -> Proof:
     A lemma is a generator ``lemma(supply, *args)``: it yields each subgoal
     it needs, is sent that subgoal's proof, and returns its own proof.
     Goals waiting on a subgoal sit on a stack.  Each lemma call gets a
-    ``NameSupply()`` of its own: it concludes a closed proof, whose
-    assumptions need be distinct only within it, so the proof of a goal
-    depends on the goal alone and a ``memo`` may prove each goal once.  A
-    proof substitution's ``walk``, whose images are open, draws from its
-    caller's supply instead.
+    ``NameSupply()`` of its own, so the proof of a goal depends on the goal
+    alone and a ``memo`` may prove each goal once.
     """
     waiting = []
     while True:
@@ -129,11 +126,11 @@ def subst_objvar_proof(m: Proof, x: ObjVar, t: Term,
 
     Assumption variables keep their identity; their formulas are rewritten
     uniformly.  Binders over ``x`` shield their subtrees, binders over free
-    variables of ``t`` are alpha-renamed first.
+    variables of ``t`` are alpha-renamed first.  ``supply`` is ignored.
     """
     if t.ty != x.ty:
         raise TypeError(f"cannot substitute term of type {t.ty} for {x}")
-    return _subst_proof(m, ((x, t),), None, None, supply)
+    return _subst_proof(m, ((x, t),), None, None)
 
 
 def subst_bot_proof(m: Proof, s: Formula,
@@ -143,32 +140,32 @@ def subst_bot_proof(m: Proof, s: Formula,
     A free assumption (u_i : A_i) turns into (u_i : A_i^S), with the same
     name and index; every bottom-introduction axiom becomes one shared
     ex-falso proof of F -> S, which is closed.  A subproof in NA has no
-    bottom, so it comes back as it is.
+    bottom, so it comes back as it is.  ``supply`` is ignored.
     """
     if not theory_leq(m.min_theory, TheoryId.MA):
         raise LanguageError("bottom substitution applies to NA/MA proofs only")
     s_lang = min_language(s)  # rejects mixed-language substituents
     th_out = s_lang if s_lang != TheoryId.PA else TheoryId.HA
-    return _subst_proof(m, (), s, th_out, supply)
+    return _subst_proof(m, (), s, th_out)
 
 
-def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
-                 supply: NameSupply | None) -> Proof:
+def _subst_proof(m: Proof, sigma, s: Formula | None,
+                 th: TheoryId | None) -> Proof:
     """The walk shared by both proof substitutions, over (node, sigma) goals.
 
     sigma is the simultaneous variable substitution in force at the node, as
     a tuple of (y, r) pairs.  A binder over y (an ``all_intro`` eigenvariable
-    or an axiom's ``ObjVar`` field) drops y from sigma, and renames y if sigma
-    or ``s`` would insert a free y.  ``s``, if given, replaces bottom.
-    Rebuilt axioms live in ``th``, or in their own theory if it is None.
+    or an axiom's ``ObjVar`` field) drops y from sigma, and renames y to its
+    least free index if sigma or ``s`` would insert a free y, so the image
+    of a node depends on the node, sigma and ``s`` alone.  ``s``, if given,
+    replaces bottom.  Rebuilt axioms live in ``th``, or in their own theory
+    if it is None.
 
     Where sigma is empty, a node that ``s`` cannot reach (every node if
     ``s`` is None, else one whose least theory is NA, so that none of its
     formulas has a bottom) is its own image, and its subtree is not entered.
     An assumption keeps its name and index; only its formula is rewritten.
     """
-    if supply is None:
-        supply = NameSupply()
     fv_s = NO_VARS if s is None else s.fv
     memos = {}  # the memo of ``subst`` for each sigma
 
@@ -180,26 +177,28 @@ def _subst_proof(m: Proof, sigma, s: Formula | None, th: TheoryId | None,
             return y, sigma
         avoid = inserted.union({y}, (v for v, _ in sigma),
                                *(f.fv for f in formulas))
-        renamed = supply.fresh_avoiding(y, avoid)
+        renamed = NameSupply().fresh_avoiding(y, avoid)
         return renamed, ((y, Var(renamed)),) + sigma
 
     def rewrite(a: Formula | Term, sigma) -> Formula | Term:
-        return subst(a, dict(sigma), s, supply, memos.setdefault(sigma, {}))
+        return subst(a, dict(sigma), s, memo=memos.setdefault(sigma, {}))
 
     def assumption(u: AssumptionVar, sigma) -> AssumptionVar:
-        # A binder renaming its eigenvariable changes sigma but not the
-        # formula of an assumption used across it, where the eigenvariable
-        # is not free; so its assume and imp_intro get one image.  An input
-        # never has two variables of one name and index free together, so
-        # no image has; two whose formulas have one image become one, so an
-        # image may have fewer free assumptions than the input, never more.
+        # A binder renaming its eigenvariable changes sigma, but not the
+        # part of it free in the formula of an assumption used across it,
+        # where the eigenvariable is not free.  A formula's image depends
+        # on that part alone, so its assume and imp_intro get one image.
+        # An input never has two variables of one name and index free
+        # together, so no image has; two whose formulas have one image
+        # become one, so an image may have fewer free assumptions than the
+        # input, never more.
         # Interning makes the images of ``u`` under one sigma one variable,
         # and an image with an unchanged formula ``u`` itself.
         return AssumptionVar(u.name, u.index, rewrite(u.formula, sigma))
 
     def subst_axiom(ax, th_m: TheoryId, sigma) -> Proof:
         # ObjVar fields bind every Formula field; Term fields lie outside.
-        values = [getattr(ax, n) for n in ax.__match_args__]
+        values = ax._args(ax)
         bodies = [v for v in values if isinstance(v, Formula)]
         inner, renamed = sigma, {}
         for v in values:
@@ -421,7 +420,7 @@ def _cd(supply: NameSupply, a: Formula, s: Formula, th: TheoryId):
             y, body = x, b
             if x in s.fv:
                 y = supply.fresh_avoiding(x, b.fv | s.fv)
-                body = subst(b, {x: Var(y)}, supply=supply)
+                body = subst(b, {x: Var(y)})
             at_tt, at_ff = bool_instances(y, (yield (_cd, body, s, th)))
             u1 = fresh_assumption("u", Imp(a, s), supply)
             u2 = fresh_assumption("v", Imp(neg(a), s), supply)

@@ -11,12 +11,13 @@ or strong disjunction or existence (``has_strong``).  ``subst`` is the one
 substitution over terms and formulas, a ``syntax.fold``; ``alpha_eq`` walks
 a stack of pairs of nodes.  Neither is limited by depth, but ``subst``
 rebuilds each binder that it renames by a call of its own, so binders it
-renames inside one another do take Python's stack.  As an interned node
-stands for its value, a formula also keeps, once asked, its A^F, its
-instances and its class flags; A^F and instances by weak reference, to keep
-no node alive.  Each is a pure function of its node: where an instance
-renames a binder, it draws from a supply of its own, as ``subst`` does when
-given none, so a kept fact is the node that computing it again gives.
+renames inside one another do take Python's stack.  A binder that
+``subst`` renames takes the least free index for it, so a substitution is
+a pure function of its node, the part of ``sigma`` free in it and ``bot``.
+As an interned node stands for its value, a formula also keeps, once asked,
+its A^F, its instances and its class flags; A^F and instances by weak
+reference, to keep no node alive.  Each is the node that computing it again
+gives.
 """
 
 from __future__ import annotations
@@ -227,10 +228,10 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
     Replaces each free variable ``x`` of ``a`` in the mapping ``sigma`` by
     the term ``sigma[x]`` and, if ``bot`` is given, each bottom by ``bot``.
     A binder whose variable is free in what would be inserted below it is
-    renamed, with an index drawn from ``supply``.  A node with nothing to
-    replace comes back as it is, and each node is rebuilt at most once
-    (memoized on identity), so the result shares what ``a`` shares.  Calls
-    with one ``sigma``, ``bot`` and ``supply`` may share one ``memo``.
+    renamed to the least index free there; ``supply`` is ignored.  A node
+    with nothing to replace comes back as it is, and each node is rebuilt
+    at most once (memoized on identity), so the result shares what ``a``
+    shares.  Calls with one ``sigma`` and ``bot`` may share one ``memo``.
     The walk is a ``fold``; only a binder that drops its variable from
     ``sigma`` or renames it is rebuilt by a call of its own, on the stack.
     """
@@ -238,8 +239,6 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
     if keys.isdisjoint(a.fv) and (bot is None or isinstance(a, Term)
                                   or not a.has_bot):
         return a
-    if supply is None:
-        supply = NameSupply()
     memo = {} if memo is None else memo
     for x, t in sigma.items():  # the leaves' images: fold enters no leaf
         memo[Var(x)] = t
@@ -261,7 +260,7 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
             if bot is not None and t is not Lam and b.has_bot:
                 inserted.append(bot.fv)
             if any(x in fv for fv in inserted):
-                fresh = supply.fresh_avoiding(x, b.fv.union(*inserted))
+                fresh = NameSupply().fresh_avoiding(x, b.fv.union(*inserted))
                 inner, x = {**inner, x: Var(fresh)}, fresh
             if inner is not sigma:
                 below[n] = x, inner
@@ -276,7 +275,7 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
     def visit(n, _):
         if n in below:
             x, inner = below.pop(n)
-            return type(n)(x, subst(n.body, inner, bot, supply))
+            return type(n)(x, subst(n.body, inner, bot))
         return type(n)(*[memo.get(c, c) for c in n._args(n)])
 
     return fold(a, visit, children, memo)
@@ -285,9 +284,8 @@ def subst(a: Formula | Term, sigma, bot: Formula | None = None,
 def instance(a: All, t: Term) -> Formula:
     """``B[x := t]`` for ``a`` = ``forall x B``, kept on ``a`` (weakly, under
     ``t``: the instance holds ``t``, so the key keeps nothing alive longer).
-    A binder that would capture a variable of ``t`` is renamed from a supply
-    of the call's own, as ``subst`` does, so the instance depends on ``a``
-    and ``t`` alone."""
+    A binder that would capture a variable of ``t`` is renamed as ``subst``
+    renames it."""
     x, b = a.bound, a.body
     if x not in b.fv or (type(t) is Var and t.var is x):
         return b
@@ -296,10 +294,11 @@ def instance(a: All, t: Term) -> Formula:
 
 def subst_formula_var(a: Formula | Term, x: ObjVar, t: Term,
                       supply: NameSupply | None = None) -> Formula | Term:
-    """Capture-avoiding substitution of ``x`` by ``t`` in ``a``."""
+    """Capture-avoiding substitution of ``x`` by ``t`` in ``a``; ``supply``
+    is ignored."""
     if t.ty != x.ty:
         raise TypeError(f"cannot substitute term of type {t.ty} for {x}")
-    return subst(a, {x: t}, supply=supply)
+    return subst(a, {x: t})
 
 
 subst_term = subst_formula_var
@@ -311,10 +310,11 @@ subst_term = subst_formula_var
 
 def subst_bot(a: Formula, s: Formula,
               supply: NameSupply | None = None) -> Formula:
-    """Replace every bottom in ``a`` by ``s`` (the substitution A^S)."""
+    """Replace every bottom in ``a`` by ``s`` (the substitution A^S);
+    ``supply`` is ignored."""
     if a.has_strong:
         raise LanguageError("bottom substitution needs a formula without or/exists")
-    return subst(a, {}, s, supply)
+    return subst(a, {}, s)
 
 
 def subst_bot_falsity(a: Formula) -> Formula:

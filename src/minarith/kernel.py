@@ -7,9 +7,9 @@ re-verifies proofs.
 
 The kernel draws no names from its callers.  The schema of an axiom value
 (``axiom_schema``) and the instance of a universal formula at a term
-(``formula.instance``, for ``all_elim``) depend on their arguments alone:
-where one renames a binder, it draws from a supply of its own.  So they are
-kept on the node, and a kept result is the node a fresh computation gives.
+(``formula.instance``, for ``all_elim``) depend on their arguments alone,
+as ``formula.subst`` does.  So they are kept on the node, and a kept result
+is the node a fresh computation gives.
 ``recheck`` still calls the checked constructor of every rule and so tests
 every side condition again; it only stops recomputing such pure results.
 """

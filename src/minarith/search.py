@@ -118,7 +118,7 @@ def _prove(ctx, goal: Formula, th: TheoryId, depth: int, pool, supply,
         case All(x, b):
             avoid = goal.fv.union(*(u.formula.fv for u in ctx))
             fresh = supply.fresh_avoiding(x, avoid)
-            body = subst_formula_var(b, x, Var(fresh), supply)
+            body = subst_formula_var(b, x, Var(fresh))
             sub = _prove(ctx, body, th, depth - 1, pool, supply, budget)
             if sub is not None:
                 return all_intro(fresh, sub)
@@ -137,7 +137,7 @@ def _prove(ctx, goal: Formula, th: TheoryId, depth: int, pool, supply,
                 return imp_elim(axiom(OrIntroR(l, r), th), right)
         case Ex(x, b):
             for t in _pool_of_type(pool, x.ty):
-                inst = subst_formula_var(b, x, t, supply)
+                inst = subst_formula_var(b, x, t)
                 sub = _prove(ctx, inst, th, depth - 1, pool, supply, budget)
                 if sub is not None:
                     return imp_elim(axiom(ExIntro(b, x, t), th), sub)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, repeat
-from operator import attrgetter
 
 from .errors import ParseError
 from .formula import (All, And, Atom, Bot, Ex, Formula, Imp, Or, TheoryId,
@@ -451,9 +450,6 @@ def parse_proof(text: str, th: TheoryId) -> Proof:
 # Printer
 
 
-# The arguments of each class of _HEADS: one value, or a tuple of them.
-_FIELDS = {cls: attrgetter(*cls.__match_args__) if cls.__match_args__
-           else lambda x: () for cls in _HEADS}
 # The text of each form without arguments, which is never labelled.
 _ATOMS = {x: f" ({head})" for (_, head), x in _NULLARY.items()}
 
@@ -472,8 +468,7 @@ def _shape(x) -> tuple[str, tuple]:
     cls = type(x)
     if cls is Const:
         return x.tag, x.params
-    args = _FIELDS[cls](x)
-    return _HEADS[cls], args if type(args) is tuple else (args,)
+    return _HEADS[cls], x._args(x)
 
 
 def _shared(root) -> set:

@@ -97,7 +97,7 @@ def test_criterion_03_bot_substitution(capsys):
             continue
         done += 1
         for s in (TRUTH, FALSITY, Imp(TRUTH, BOT)):
-            n = subst_bot_proof(m, s, NameSupply(80_000))
+            n = subst_bot_proof(m, s)
             recheck(n)
             if not alpha_eq_formula(n.conclusion,
                                     subst_bot(m.conclusion, s)):
@@ -210,8 +210,8 @@ def test_criterion_07_boundary_fixture(capsys):
            failures, t0)
 
 
-def _translate_and_verify(d, g, x, prem, supply, failures, label):
-    out = a_translate_classified(d, g, x, prem, supply)
+def _translate_and_verify(d, g, x, prem, failures, label):
+    out = a_translate_classified(d, g, x, prem)
     recheck(out)
     want = Imp(subst_bot_falsity(d), Ex(x, subst_bot_falsity(g)))
     if (out.free_assumptions
@@ -236,7 +236,7 @@ def test_criterion_08_a_translation(capsys):
     # instance 1: trivial data over a numeric witness
     x = ObjVar("n", supply.draw(), NAT)
     prem = tiny_premise(TRUTH, TRUTH, x, ZERO, supply)
-    _translate_and_verify(TRUTH, TRUTH, x, prem, supply, failures,
+    _translate_and_verify(TRUTH, TRUTH, x, prem, failures,
                           "instance 1")
 
     # instance 2: boolean witness with a variable goal
@@ -246,7 +246,7 @@ def test_criterion_08_a_translation(capsys):
     v = fresh_assumption("v", All(b, Imp(g, BOT)), supply)
     prem = imp_intros(imp_elim(all_elim(assume(v), TT),
                                axiom(Truth(), TheoryId.MA)), u, v)
-    _translate_and_verify(TRUTH, g, b, prem, supply, failures, "instance 2")
+    _translate_and_verify(TRUTH, g, b, prem, failures, "instance 2")
 
     # 10 generated definite premises with a trivial goal
     ran = 0
@@ -260,7 +260,7 @@ def test_criterion_08_a_translation(capsys):
         ran += 1
         x = ObjVar("n", supply.draw(), NAT)
         prem = tiny_premise(d, TRUTH, x, ZERO, supply)
-        _translate_and_verify(d, TRUTH, x, prem, supply, failures,
+        _translate_and_verify(d, TRUTH, x, prem, failures,
                               f"family 1 seed {seed}")
 
     # 10 generated goals with a weak-existence definite premise
@@ -281,7 +281,7 @@ def test_criterion_08_a_translation(capsys):
         u = fresh_assumption("u", d, supply)
         v = fresh_assumption("v", All(x, Imp(g, BOT)), supply)
         prem = imp_intros(imp_elim(assume(u), assume(v)), u, v)
-        _translate_and_verify(d, g, x, prem, supply, failures,
+        _translate_and_verify(d, g, x, prem, failures,
                               f"family 2 seed {seed}")
 
     if ran < 10 or ran2 < 10:

@@ -35,7 +35,7 @@ class TestTheorem:
         # bindings coexist in the output.
         x = ObjVar("n", 0, NAT)
         prem = tiny_premise(TRUTH, TRUTH, x, ZERO, NameSupply(0))
-        out = a_translate_classified(TRUTH, TRUTH, x, prem, NameSupply(0))
+        out = a_translate_classified(TRUTH, TRUTH, x, prem)
         assert not out.free_assumptions
         recheck(out)
         text = print_proof(out)
@@ -44,7 +44,7 @@ class TestTheorem:
     def test_truth_truth_nat(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
         prem = tiny_premise(TRUTH, TRUTH, x, ZERO, supply)
-        out = a_translate_classified(TRUTH, TRUTH, x, prem, supply)
+        out = a_translate_classified(TRUTH, TRUTH, x, prem)
         assert not out.free_assumptions
         assert theory_leq(out.min_theory, TheoryId.HA)
         assert alpha_eq_formula(out.conclusion, Imp(TRUTH, Ex(x, TRUTH)))
@@ -57,7 +57,7 @@ class TestTheorem:
         v = fresh_assumption("v", All(b, Imp(g, BOT)), supply)
         prem = imp_intros(imp_elim(all_elim(assume(v), TT),
                                    axiom(Truth(), TheoryId.MA)), u, v)
-        out = a_translate_classified(TRUTH, g, b, prem, supply)
+        out = a_translate_classified(TRUTH, g, b, prem)
         assert alpha_eq_formula(out.conclusion, Imp(TRUTH, Ex(b, g)))
         recheck(out)
 
@@ -67,7 +67,7 @@ class TestTheorem:
         v = fresh_assumption("v", All(y, Imp(BOT, BOT)), supply)
         prem = imp_intros(imp_elim(all_elim(assume(v), ZERO),
                                    assume(u)), u, v)
-        out = a_translate_classified(BOT, BOT, y, prem, supply)
+        out = a_translate_classified(BOT, BOT, y, prem)
         assert alpha_eq_formula(out.conclusion,
                                 Imp(FALSITY, Ex(y, FALSITY)))
         recheck(out)
@@ -76,14 +76,14 @@ class TestTheorem:
         prem = axiom(Truth(), TheoryId.MA)
         x = ObjVar("n", supply.draw(), NAT)
         with pytest.raises(ShapeError):
-            a_translate_classified(TRUTH, TRUTH, x, prem, supply)
+            a_translate_classified(TRUTH, TRUTH, x, prem)
 
     def test_open_premise_rejected(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
         spine = Imp(TRUTH, Imp(All(x, Imp(TRUTH, BOT)), BOT))
         u = fresh_assumption("u", spine, supply)
         with pytest.raises(ShapeError):
-            a_translate_classified(TRUTH, TRUTH, x, assume(u), supply)
+            a_translate_classified(TRUTH, TRUTH, x, assume(u))
 
     def test_certificate_mismatch(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
@@ -92,7 +92,7 @@ class TestTheorem:
         cert_g = all_intro(x, certify(TRUTH, ClassId.GOAL, supply))
         inp = TranslationInput(prem, TRUTH, TRUTH, x, bogus, cert_g)
         with pytest.raises(CertificateError):
-            refined_a_translate(inp, supply)
+            refined_a_translate(inp)
 
     def test_stated_formulas_must_match(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
@@ -101,22 +101,22 @@ class TestTheorem:
         cert_g = all_intro(x, certify(TRUTH, ClassId.GOAL, supply))
         inp = TranslationInput(prem, FALSITY, TRUTH, x, cert_d, cert_g)
         with pytest.raises(ShapeError):
-            refined_a_translate(inp, supply)
+            refined_a_translate(inp)
 
     def test_class_guard(self, supply):
         st, x, _ = remark_st_formula()
         prem = tiny_premise(st, TRUTH, x, ZERO, supply)
         with pytest.raises(ClassError):
-            a_translate_classified(st, TRUTH, x, prem, supply)
+            a_translate_classified(st, TRUTH, x, prem)
 
     def test_equivalence_of_modes(self, supply):
         x = ObjVar("n", supply.draw(), NAT)
         prem = tiny_premise(TRUTH, TRUTH, x, ZERO, supply)
-        out1 = a_translate_classified(TRUTH, TRUTH, x, prem, supply)
+        out1 = a_translate_classified(TRUTH, TRUTH, x, prem)
         cert_d = certify(TRUTH, ClassId.DEFINITE, supply)
         cert_g = all_intro(x, certify(TRUTH, ClassId.GOAL, supply))
         inp = TranslationInput(prem, TRUTH, TRUTH, x, cert_d, cert_g)
-        out2 = refined_a_translate(inp, supply)
+        out2 = refined_a_translate(inp)
         assert alpha_eq_formula(out1.conclusion, out2.conclusion)
 
 
@@ -135,7 +135,7 @@ class TestGeneratedInstances:
             ran += 1
             x = ObjVar("n", supply.draw(), NAT)
             prem = tiny_premise(d, TRUTH, x, ZERO, supply)
-            out = a_translate_classified(d, TRUTH, x, prem, supply)
+            out = a_translate_classified(d, TRUTH, x, prem)
             df = subst_bot_falsity(d)
             assert alpha_eq_formula(out.conclusion, Imp(df, Ex(x, TRUTH)))
             assert theory_leq(out.min_theory, TheoryId.HA)
@@ -164,7 +164,7 @@ class TestGeneratedInstances:
             u = fresh_assumption("u", d, supply)
             v = fresh_assumption("v", All(x, Imp(g, BOT)), supply)
             prem = imp_intros(imp_elim(assume(u), assume(v)), u, v)
-            out = a_translate_classified(d, g, x, prem, supply)
+            out = a_translate_classified(d, g, x, prem)
             df = subst_bot_falsity(d)
             gf = subst_bot_falsity(g)
             assert alpha_eq_formula(out.conclusion, Imp(df, Ex(x, gf)))

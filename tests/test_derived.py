@@ -8,16 +8,18 @@ from hashlib import sha256
 
 import pytest
 
-from minarith import (BOT, FALSITY, TRUTH, All, And, Atom, BotPlus, Const,
-                      GenConfig, Imp, IndList, ListType, NameSupply, ObjVar,
-                      TheoryId, TT, FF, Var, all_intro, alpha_eq_formula,
+from minarith import (BOT, FALSITY, TRUTH, ZERO, All, And, Atom, BotPlus,
+                      Const, Formula, GenConfig, Imp, IndList, ListType,
+                      NameSupply, ObjVar, TheoryId, TranslationInput, TT, FF,
+                      Var, a_translate_classified, all_intro, alpha_eq_formula,
                       and_intro, app, arrow, assume, axiom, formula_free_vars,
                       fresh_assumption, gen_formula, gen_proof, gg_translate,
-                      imp, imp_intro, in_Q, min_language, neg, print_proof,
+                      imp, imp_elim, imp_intro, imp_intros, in_Q,
+                      min_language, neg, print_formula, print_proof,
                       prove_case_distinction, prove_efq, prove_gg_equiv,
-                      recheck, subst_bot, subst_bot_proof, subst_formula_var,
-                      subst_objvar_proof, theory_leq, ClassId, certify,
-                      classify)
+                      recheck, refined_a_translate, subst, subst_bot,
+                      subst_bot_proof, subst_formula_var, subst_objvar_proof,
+                      theory_leq, ClassId, certify, classify)
 from minarith.errors import ClassError, LanguageError
 from minarith.kernel import AssumptionVar, BoolCases, Truth, all_elim
 from minarith.syntax import BOOL, NAT, fold
@@ -73,7 +75,7 @@ class TestSubstObjvarProof:
         x = ObjVar("x", sp.draw(), BOOL)
         u = fresh_assumption("u", Atom(Var(x)), sp)
         p = imp_intro(u, assume(u))
-        q = subst_objvar_proof(p, x, TT, sp)
+        q = subst_objvar_proof(p, x, TT)
         assert q.conclusion == Imp(Atom(TT), Atom(TT))
         recheck(q)
 
@@ -85,7 +87,7 @@ class TestSubstObjvarProof:
         y = ObjVar("y", 3, NAT)
         m = axiom(IndList(l, x, Atom(app(Var(p), Var(y), Var(l)))),
                   TheoryId.NA)
-        q = subst_objvar_proof(m, y, Var(x), NameSupply(100))
+        q = subst_objvar_proof(m, y, Var(x))
         want = subst_formula_var(m.conclusion, y, Var(x))
         assert alpha_eq_formula(q.conclusion, want)
         assert x in formula_free_vars(q.conclusion)
@@ -100,11 +102,23 @@ class TestSubstObjvarProof:
         v = fresh_assumption("v", Imp(Atom(Var(x)), Atom(Var(y))), sp)
         n = imp_intro(v, assume(v))
         m = and_intro(all_intro(y, n), n)
-        q = subst_objvar_proof(m, x, Var(y), sp)
+        q = subst_objvar_proof(m, x, Var(y))
         assert alpha_eq_formula(q.conclusion,
                                 subst_formula_var(m.conclusion, x, Var(y)))
         assert q.conclusion.right == Imp(Imp(Atom(Var(y)), Atom(Var(y))),
                                          Imp(Atom(Var(y)), Atom(Var(y))))
+        recheck(q)
+
+    def test_discharge_across_binder_renamed_twice(self):
+        # u's formula is rewritten at the imp_intro and again below the
+        # renamed eigenvariable z; both images must be one variable.
+        z, w = ObjVar("z", 0, BOOL), ObjVar("w", 0, BOOL)
+        u = AssumptionVar("u", 0, All(z, Imp(Atom(Var(z)), Atom(Var(w)))))
+        m = imp_intro(u, all_intro(z, assume(u)))
+        q = subst_objvar_proof(m, w, Var(z))
+        assert q.free_assumptions == frozenset()
+        assert alpha_eq_formula(
+            q.conclusion, subst_formula_var(m.conclusion, w, Var(z)))
         recheck(q)
 
     def test_binder_over_x_shields(self):
@@ -112,7 +126,7 @@ class TestSubstObjvarProof:
         x = ObjVar("x", sp.draw(), BOOL)
         v = fresh_assumption("v", Atom(Var(x)), sp)
         m = all_intro(x, imp_intro(v, assume(v)))
-        q = subst_objvar_proof(m, x, TT, sp)
+        q = subst_objvar_proof(m, x, TT)
         assert q.conclusion == m.conclusion
         assert q.children[0] is m.children[0]
 
@@ -120,14 +134,14 @@ class TestSubstObjvarProof:
 class TestSubstBotProof:
     def test_botplus_becomes_efq(self):
         sp = NameSupply()
-        p = subst_bot_proof(axiom(BotPlus(), TheoryId.MA), TRUTH, sp)
+        p = subst_bot_proof(axiom(BotPlus(), TheoryId.MA), TRUTH)
         assert alpha_eq_formula(p.conclusion, Imp(FALSITY, TRUTH))
         assert theory_leq(p.min_theory, TheoryId.NA)
 
     def test_assumption_renamed(self):
         sp = NameSupply()
         u = fresh_assumption("u", BOT, sp)
-        q = subst_bot_proof(assume(u), TRUTH, sp)
+        q = subst_bot_proof(assume(u), TRUTH)
         assert q.conclusion == TRUTH
         (v,) = q.free_assumptions
         assert v.name == u.name
@@ -143,7 +157,7 @@ class TestSubstBotProof:
         for seed in range(150):
             m = gen_proof(seed, 10, NameSupply(10_000))
             for s in (TRUTH, FALSITY, Imp(TRUTH, BOT)):
-                n = subst_bot_proof(m, s, NameSupply(60_000))
+                n = subst_bot_proof(m, s)
                 assert alpha_eq_formula(n.conclusion,
                                         subst_bot(m.conclusion, s))
                 recheck(n)
@@ -163,7 +177,7 @@ class TestSubstBotProof:
         v = fresh_assumption("v", Imp(Atom(Var(y)), BOT), sp)
         m = all_intro(y, imp_intro(v, assume(v)))
         s = Atom(Var(y))
-        q = subst_bot_proof(m, s, sp)
+        q = subst_bot_proof(m, s)
         assert q.conclusion.bound != y
         assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
         recheck(q)
@@ -177,7 +191,17 @@ class TestSubstBotProof:
         m = imp_intro(v, all_intro(y, assume(v)))
         assert m.free_assumptions == frozenset()
         s = Atom(Var(y))
-        q = subst_bot_proof(m, s, sp)
+        q = subst_bot_proof(m, s)
+        assert q.free_assumptions == frozenset()
+        assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
+        recheck(q)
+
+    def test_discharge_across_binder_renamed_twice(self):
+        z = ObjVar("z", 0, BOOL)
+        u = AssumptionVar("u", 0, All(z, Imp(Atom(Var(z)), BOT)))
+        m = imp_intro(u, all_intro(z, assume(u)))
+        s = Atom(Var(z))
+        q = subst_bot_proof(m, s)
         assert q.free_assumptions == frozenset()
         assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
         recheck(q)
@@ -188,7 +212,7 @@ class TestSubstBotProof:
         na = and_intro(assume(u), axiom(Truth(), TheoryId.NA))
         assert na.min_theory is TheoryId.NA
         m = and_intro(na, axiom(BotPlus(), TheoryId.MA))
-        q = subst_bot_proof(m, TRUTH, sp)
+        q = subst_bot_proof(m, TRUTH)
         assert q.children[0] is na
         assert q.free_assumptions == frozenset({u})
 
@@ -197,9 +221,7 @@ class TestSubstBotProof:
         u = fresh_assumption("u", BOT, sp)
         v = fresh_assumption("v", Imp(BOT, TRUTH), sp)
         m = imp_intro(u, and_intro(assume(u), assume(v)))
-        start = sp.next_index
-        q = subst_bot_proof(m, Imp(TRUTH, TRUTH), sp)
-        assert sp.next_index == start
+        q = subst_bot_proof(m, Imp(TRUTH, TRUTH))
         (w,) = q.free_assumptions
         assert (w.name, w.index) == (v.name, v.index)
         recheck(q)
@@ -221,7 +243,7 @@ class TestSubstBotProof:
             na, axiom(BotPlus(), TheoryId.MA))))
         assert m.free_assumptions == frozenset()
         s = Atom(Var(y))
-        q = subst_bot_proof(m, s, sp)
+        q = subst_bot_proof(m, s)
         assert q.free_assumptions == frozenset()
         assert q.conclusion.prem is TRUTH
         assert alpha_eq_formula(q.conclusion, subst_bot(m.conclusion, s))
@@ -240,11 +262,11 @@ class TestSubstBotProof:
         recheck(q)
 
     def test_small_indices_on_both_sides(self):
-        # Input and substitution draw from supplies that both start at 0.
+        # Input indices start at 0, as those of the substitution's renames.
         for seed in range(150):
             m = gen_proof(seed, 10, NameSupply(0))
             for s in (TRUTH, FALSITY, Imp(TRUTH, BOT)):
-                n = subst_bot_proof(m, s, NameSupply(0))
+                n = subst_bot_proof(m, s)
                 recheck(n)
                 assert alpha_eq_formula(n.conclusion,
                                         subst_bot(m.conclusion, s))
@@ -255,7 +277,7 @@ class TestSubstBotProof:
     def test_truth_substitution_lands_in_na(self):
         for seed in range(100):
             m = gen_proof(seed, 10, NameSupply(10_000))
-            n = subst_bot_proof(m, TRUTH, NameSupply(60_000))
+            n = subst_bot_proof(m, TRUTH)
             assert theory_leq(n.min_theory, TheoryId.NA)
 
 
@@ -460,11 +482,11 @@ def test_synthesis_leaves_no_cyclic_garbage():
 
 def test_substitution_and_equivalence_text_is_fixed():
     # Bottom substitution, which renames an eigenvariable in 1,033 of these
-    # seeds, and the negative-translation equivalence.  The second digest
-    # is of the text as printed before both ran on one synthesis engine,
-    # which labelled only subproofs: writing the other labels out again
-    # gives it byte for byte.
-    h, old = sha256(), sha256()
+    # outputs, and the negative-translation equivalence, each digested on
+    # its own.  The last digest is of the equivalence text as printed
+    # before it ran on the synthesis engine, which labelled only
+    # subproofs: writing the other labels out again gives it byte for byte.
+    h = sha256()
     for seed in range(2000):
         m = gen_proof(seed, 10, NameSupply(10_000))
         if m.min_theory is not TheoryId.MA:
@@ -474,9 +496,10 @@ def test_substitution_and_equivalence_text_is_fixed():
         if y is not None:
             targets.append(Imp(Atom(Var(y)), BOT))
         for s in targets:
-            text = print_proof(subst_bot_proof(m, s, NameSupply(80_000)))
-            h.update(text.encode())
-            old.update(unlabel(text).encode())
+            h.update(print_proof(subst_bot_proof(m, s)).encode())
+    assert h.hexdigest() == \
+        "1543acfc025593d663822e70c019f243a4932bb60a19800eb8c35cb6cb8ab1bf"
+    h, old = sha256(), sha256()
     for seed in range(300):
         a = gen_formula(GenConfig(seed=seed, max_size=12,
                                   language=TheoryId.NA))
@@ -484,29 +507,71 @@ def test_substitution_and_equivalence_text_is_fixed():
         h.update(text.encode())
         old.update(unlabel(text).encode())
     assert h.hexdigest() == \
-        "347c196cc30cc0094b86bf4cf04759ec715b30ecbac122f18f2fb4c239e3104f"
+        "a7e9a13b9cd551cd038b42eb03cc42d2b6b3807cd56b9575bdafeb0c196d2eef"
     assert old.hexdigest() == \
-        "35b925a19c9d5b52da32f3a313ec7c95ba1e988f53e21da42f7185d886e68c5f"
+        "0f8b958a468b667ee4fc78102ef5202c1e63f18f4006d3dc476807b7a05598a5"
+
+
+def test_substitution_adds_no_free_assumption():
+    # x 0 is bound in the assumption formulas of gen_proof and y is an
+    # eigenvariable, so binders are renamed both in formulas and proofs.
+    x0 = ObjVar("x", 0, BOOL)
+    ran = 0
+    for seed in range(2000):
+        m = gen_proof(seed, 10, NameSupply(10_000))
+        y = _least_eigenvariable(m)
+        if m.min_theory is not TheoryId.MA or y is None:
+            continue
+        ran += 1
+        n = subst_bot_proof(m, imp(Atom(Var(x0)), Atom(Var(y)), BOT))
+        want = {(u.name, u.index) for u in m.free_assumptions}
+        got = [(u.name, u.index) for u in n.free_assumptions]
+        assert set(got) <= want and len(got) <= len(want)
+    assert ran == 1414
 
 
 def test_synthesized_text_does_not_depend_on_the_supply():
-    # Each lemma draws from a supply of its own, so a caller's supply,
-    # which the synthesizers ignore, changes no byte of their output.
+    # Each lemma draws from a supply of its own, and a substitution renames
+    # to least free indices, so a caller's supply, which they all ignore,
+    # changes no byte of their output.  x 0 is bound in gen_formula's
+    # formulas and free in s and t, so substituting them renames binders.
+    x0, y0, n = (ObjVar("x", 0, BOOL), ObjVar("y", 0, BOOL),
+                 ObjVar("n", 0, NAT))
+    s, t = Imp(Atom(Var(x0)), BOT), Var(x0)
     for seed in range(100):
         a = gen_formula(GenConfig(seed=seed, max_size=9,
                                   language=TheoryId.MA))
         na = subst_bot(a, FALSITY)
+        open_a = subst_bot(a, Atom(Var(y0)))  # y 0 free
+        m = gen_proof(seed, 10, NameSupply(10_000))
         runs = [lambda sp: prove_efq(a, TheoryId.MA, sp),
                 lambda sp: prove_gg_equiv(na, sp),
-                *(lambda sp, c=c: certify(a, c, sp) for c in ClassId)]
-        if classify(a).in_Q:
+                *(lambda sp, c=c: certify(a, c, sp) for c in ClassId),
+                lambda sp: subst(a, {}, s, sp),
+                lambda sp: subst_bot(a, s, sp),
+                lambda sp: subst_formula_var(open_a, y0, t, sp),
+                lambda sp: subst_objvar_proof(
+                    prove_efq(open_a, TheoryId.NA), y0, t, sp),
+                lambda sp: subst_bot_proof(m, s, sp)]
+        cls = classify(a)
+        if cls.in_Q:
             runs.append(lambda sp: prove_case_distinction(a, BOT,
                                                           TheoryId.MA, sp))
+        if cls.in_D:
+            u = fresh_assumption("u", a, NameSupply(0))
+            v = fresh_assumption("v", All(n, Imp(TRUTH, BOT)), NameSupply(1))
+            prem = imp_intros(imp_elim(all_elim(assume(v), ZERO),
+                                       axiom(Truth(), TheoryId.MA)), u, v)
+            inp = TranslationInput(
+                prem, a, TRUTH, n, certify(a, ClassId.DEFINITE),
+                all_intro(n, certify(TRUTH, ClassId.GOAL)))
+            runs += [lambda sp: a_translate_classified(a, TRUTH, n, prem, sp),
+                     lambda sp: refined_a_translate(inp, sp)]
         for run in runs:
-            low, high = run(NameSupply(0)), run(NameSupply(10 ** 6))
-            assert (low is None) == (high is None)
-            if low is not None:
-                assert print_proof(low) == print_proof(high)
+            outs = map(run, (None, NameSupply(0), NameSupply(80_000)))
+            assert len({out if out is None else print_formula(out)
+                        if isinstance(out, Formula) else print_proof(out)
+                        for out in outs}) == 1
 
 
 def test_ex_falso_and_equivalence_share_their_case_axioms():

@@ -11,8 +11,8 @@ import time
 import pytest
 
 from minarith import (BOOL, BOT, FALSITY, FF, NAT, TRUTH, All, And, App,
-                      Atom, Bot, Const, Ex, GenConfig, Imp, Lam, NameSupply,
-                      ObjVar, Or, TheoryId, TT, Var, alpha_eq,
+                      Atom, Bot, Const, Ex, GenConfig, Imp, Lam, ObjVar, Or,
+                      TheoryId, TT, Var, alpha_eq,
                       alpha_eq_formula, formula_free_vars, formula_size,
                       gen_formula, gg_translate, imp, in_language,
                       min_language, neg, print_formula, subst, subst_bot,
@@ -75,7 +75,7 @@ class TestSubstFormulaVar:
     def test_capture_avoided(self):
         y = ObjVar("y", 5, BOOL)
         a = All(y, Atom(Var(x_bool)))
-        out = subst_formula_var(a, x_bool, Var(y), NameSupply(100))
+        out = subst_formula_var(a, x_bool, Var(y))
         assert isinstance(out, All)
         assert out.bound != y
         assert out.body == Atom(Var(y))
@@ -92,7 +92,7 @@ class TestSubstBot:
     def test_binder_renamed_against_capture(self):
         s = Atom(Var(x_bool))
         a = All(x_bool, BOT)
-        out = subst_bot(a, s, NameSupply(100))
+        out = subst_bot(a, s)
         assert isinstance(out, All)
         assert out.bound != x_bool
         assert out.body == s
@@ -118,7 +118,7 @@ class TestSubstBot:
     def test_free_variable_bound(self):
         s = Atom(Var(x_bool))
         a = All(n_nat, Imp(BOT, Atom(TT)))
-        out = subst_bot(a, s, NameSupply(100))
+        out = subst_bot(a, s)
         assert formula_free_vars(out) <= formula_free_vars(a) | {x_bool}
 
 
@@ -238,6 +238,13 @@ def random_formula(rng, size):
     if kind in (All, Ex):
         return kind(rng.choice(POOL), random_formula(rng, size - 1))
     return kind(random_formula(rng, size // 2), random_formula(rng, size // 2))
+
+
+def binders(a):
+    """The variables that a binder of ``a`` binds."""
+    out = set()
+    syntax.fold(a, lambda n, _: type(n) in (All, Ex, Lam) and out.add(n.bound))
+    return out
 
 
 def naive_kinds(a):
@@ -397,12 +404,12 @@ class TestSubstOracle:
             sigma = {v: random_term(rng, 4) for v in keys}
             bot = rng.choice([None, BOT, Atom(Var(rng.choice(POOL))),
                               random_formula(rng, 3)])
-            supply = NameSupply(500)
-            got = subst(a, sigma, bot, supply)
+            got = subst(a, sigma, bot)
             want = naive_subst(a, sigma, bot, fresh)
             assert alpha_eq_formula(got, want)
             assert got.fv == naive_fv(want)
-            captures += supply.next_index > 500  # a binder was renamed
+            # every binder of the input is in POOL: one outside was renamed
+            captures += not binders(got) <= set(POOL)
         assert captures > 20
 
     def test_terms_agree_with_naive_substitution(self):
@@ -411,7 +418,7 @@ class TestSubstOracle:
         for _ in range(300):
             t = random_term(rng, rng.randint(1, 12))
             sigma = {v: random_term(rng, 4) for v in rng.sample(POOL, 2)}
-            got = subst(t, sigma, supply=NameSupply(500))
+            got = subst(t, sigma)
             assert alpha_eq(got, naive_subst(t, sigma, None, fresh))
 
     def test_untouched_node_comes_back_as_is(self):

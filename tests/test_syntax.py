@@ -62,7 +62,7 @@ class TestSubstitution:
     def test_capture_avoided(self):
         # (lam y. x)[x := y] must rename the binder
         t = Lam(y_nat, Var(x_nat))
-        out = subst_term(t, x_nat, Var(y_nat), NameSupply(100))
+        out = subst_term(t, x_nat, Var(y_nat))
         assert isinstance(out, Lam)
         assert out.bound != y_nat
         assert out.body == Var(y_nat)
@@ -78,7 +78,7 @@ class TestSubstitution:
 
     def test_type_preservation(self):
         t = Lam(y_nat, App(Var(f_var), Var(x_nat)))
-        out = subst_term(t, x_nat, App(SUCC, ZERO), NameSupply(100))
+        out = subst_term(t, x_nat, App(SUCC, ZERO))
         assert type_of(out) == type_of(t)
 
 

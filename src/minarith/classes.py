@@ -20,6 +20,11 @@ agree: every flag is a positive combination of which atoms are literally
 ``tt``, so putting ``ff`` for ``x`` keeps the flags of ``B`` and putting
 ``tt`` for ``x`` can only add to them.
 
+A formula without bottom is its own A^F, so for it the D and I properties
+are A -> A and the G property is A -> (A -> bot) -> bot.  Its certificates
+in those classes are the identity and ``λu λv. v u``, built at once, and so
+are those of every bottom-free subformula inside a larger certificate.
+
 The classes are deliberate under-approximations; no recursive procedure can
 capture all formulas with these properties.
 """
@@ -47,6 +52,8 @@ class ClassId(enum.Enum):
     GOAL = "G"
     RELEVANT = "R"
     IRRELEVANT = "I"
+
+    __hash__ = object.__hash__  # Enum's hashes the name, in Python
 
 
 class ClassReport:
@@ -171,15 +178,23 @@ def certify(a: Formula, c: ClassId, supply=None) -> Proof | None:
 
 
 def _cert(supply: NameSupply, a: Formula, c: ClassId):
-    """The certificate of ``a`` in ``c``, as a lemma of ``synthesize``."""
+    """The certificate of ``a`` in ``c``, as a lemma of ``synthesize``.
+
+    A formula without bottom is its own A^F, so its D and I properties are
+    A -> A and its G property is A -> (A -> bot) -> bot: those certificates
+    are the identity and ``λu λv. v u`` at once, not a walk over ``a``.
+    """
     af = subst_bot_falsity(a)
     if c in (ClassId.Q, ClassId.QF):
         return (yield (_cd, a if c == ClassId.Q else af, BOT, _MA))
+    if not a.has_bot and c != ClassId.RELEVANT:
+        return _cert_bot_free(a, c, supply)
     match a:
         case Bot():
             return _cert_bot(c, supply)
-        case Atom():
-            return _cert_atom(a, c, supply)
+        case Atom():  # has no bottom, so only RELEVANT reaches here
+            v = fresh_assumption("v", Imp(neg(a), BOT), supply)
+            return imp_intro(v, axiom(Truth(), _MA))
         case Imp(p, q):
             return (yield from _cert_imp(a, p, q, af, c, supply))
         case And(l, r):
@@ -204,18 +219,13 @@ def _cert_bot(c: ClassId, supply: NameSupply) -> Proof:
     raise ValueError(f"bottom carries no {c.value} certificate")
 
 
-def _cert_atom(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
-    if c in (ClassId.DEFINITE, ClassId.IRRELEVANT):
-        u = fresh_assumption("u", a, supply)
-        return imp_intro(u, assume(u))
-    if c == ClassId.GOAL:
-        u = fresh_assumption("u", a, supply)
-        v = fresh_assumption("v", Imp(a, BOT), supply)
-        return imp_intro(u, imp_intro(v, imp_elim(assume(v), assume(u))))
-    if c == ClassId.RELEVANT:
-        v = fresh_assumption("v", Imp(neg(a), BOT), supply)
-        return imp_intro(v, axiom(Truth(), _MA))
-    raise ValueError(f"atoms carry no {c.value} certificate")
+def _cert_bot_free(a: Formula, c: ClassId, supply: NameSupply) -> Proof:
+    """D, I or G certificate of ``a`` without bottom, where A^F is A."""
+    u = fresh_assumption("u", a, supply)
+    if c != ClassId.GOAL:
+        return imp_intro(u, assume(u))  # an NA proof
+    v = fresh_assumption("v", Imp(a, BOT), supply)
+    return imp_intro(u, imp_intro(v, imp_elim(assume(v), assume(u))))
 
 
 def _cert_imp(a, p, q, af, c, supply):

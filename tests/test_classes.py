@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -445,6 +446,92 @@ def test_six_classes_of_a_400_deep_chain_certify_in_linear_time():
     for c in ClassId:
         assert certify(a, c) is not None
     assert time.process_time() - start < 2.0
+
+
+def _bot_chain(n):
+    # bot -> ... -> bot -> tt: in QF, D, G, R and I, and with bottom at every
+    # level, so no certificate of it is the bottom-free identity at its root
+    a = TRUTH
+    for _ in range(n):
+        a = Imp(BOT, a)
+    return a
+
+
+def test_deep_bot_chain_certifies_at_the_default_recursion_limit():
+    a = _bot_chain(1500)
+    assert sys.getrecursionlimit() < 1500
+    af = subst_bot_falsity(a)
+    want = {c: _TARGETS[c](a, af) for c in ClassId if c != ClassId.Q}
+    for c in ClassId:
+        m = certify(a, c)
+        assert (m is None) if c == ClassId.Q else m.conclusion == want[c]
+    certs = classify(a, with_certificates=True).certificates
+    assert {c: m.conclusion for c, m in certs.items()} == want
+
+
+def test_five_classes_of_a_400_deep_bot_chain_certify_in_linear_time():
+    a = _bot_chain(400)
+    start = time.process_time()
+    for c in ClassId:
+        assert (certify(a, c) is None) == (c == ClassId.Q)
+    assert time.process_time() - start < 2.0
+
+
+def _dag_nodes(m):
+    seen = []
+    fold(m, lambda n, kids: seen.append(n))
+    return len(seen)
+
+
+class TestBottomFreeShortcut:
+    """Without bottom A^F is A: D and I certify by the identity, G by
+    ``λu λv. v u``, whatever the size of A."""
+
+    def test_bottom_free_members_have_constant_certificates(self):
+        for size, seed in product((9, 12, 15), range(400)):
+            a = gen_formula(GenConfig(seed=seed, max_size=size,
+                                      language=TheoryId.MA))
+            if a.has_bot:
+                continue
+            report = classify(a)
+            for c, nodes in ((ClassId.DEFINITE, 2), (ClassId.IRRELEVANT, 2),
+                             (ClassId.GOAL, 5)):
+                if report.flag(c):
+                    m = certify(a, c)
+                    assert _dag_nodes(m) == nodes
+                    assert m.min_theory == (TheoryId.NA if nodes == 2
+                                            else TheoryId.MA)
+                    assert m.conclusion == _TARGETS[c](a, a)
+                    recheck(m)
+
+    def test_sub_certificate_of_a_bottom_free_premise_is_the_identity(self):
+        x, y = ObjVar("x", 0, BOOL), ObjVar("y", 1, BOOL)
+        p = Imp(Atom(Var(x)), Atom(Var(y)))
+        m = certify(Imp(p, BOT), ClassId.DEFINITE)
+        recheck(m)
+        # the premise's IRRELEVANT certificate, p -> p^F, is p -> p
+        found = []
+        fold(m, lambda n, kids: found.append(n) if (
+            n.conclusion == Imp(p, p) and not n.free_assumptions) else None)
+        assert found and all(_dag_nodes(n) == 2 for n in found)
+
+
+def test_certificate_sizes_of_400_formulas_are_pinned():
+    # The pins count every certificate of all six classes of MA seeds 0-399
+    # at size 12.  Before the bottom-free shortcut the totals were 141,872
+    # DAG nodes and 2,439,390 printed bytes; Q and QF are unchanged by it.
+    nodes = printed = 0
+    for seed in range(400):
+        a = gen_formula(GenConfig(seed=seed, max_size=12,
+                                  language=TheoryId.MA))
+        af = subst_bot_falsity(a)
+        for c, m in classify(a, with_certificates=True).certificates.items():
+            assert not m.free_assumptions
+            assert theory_leq(m.min_theory, TheoryId.MA)
+            assert recheck(m).conclusion == _TARGETS[c](a, af)
+            nodes += _dag_nodes(m)
+            printed += len(print_proof(m).encode())
+    assert (nodes, printed) == (107_664, 1_944_073)
 
 
 class TestTermination:
